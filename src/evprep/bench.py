@@ -1,4 +1,4 @@
-"""Throughput measurement for the hot kernels, comparing backends."""
+"""Throughput measurement for the hot kernels."""
 
 from __future__ import annotations
 
@@ -11,49 +11,25 @@ from evprep.events import SegmentConfig, SensorGeometry, event_fields
 from evprep.intensity import IntensityConfig, Method, run_sequence
 
 
-def _time_histogram(fill, t, x, y, p, seg_config, geometry, num_segments):
+def bench_histogram(
+    events: np.ndarray, geometry: SensorGeometry, seg_config: SegmentConfig
+) -> float:
+    """Events/second for segmentation + histogram building."""
+    n = events.shape[0]
+    if n == 0:
+        return 0.0
+    t, x, y, p = event_fields(events)
     T = seg_config.segment_duration_us
     B = seg_config.bins_per_segment
+    num_segments = max(1, int(t[-1] // T) + 1)
     boundaries = np.arange(0, (num_segments + 1) * T, T, dtype=np.int64)
     splits = np.searchsorted(t, boundaries, side="left")
     start = time.perf_counter()
     for i in range(num_segments):
         lo, hi = splits[i], splits[i + 1]
         counts = np.zeros((2, B, geometry.height, geometry.width), dtype=np.int64)
-        fill(t[lo:hi], x[lo:hi], y[lo:hi], p[lo:hi], i * T, T, B, counts)
-    return time.perf_counter() - start
-
-
-def bench_histogram(
-    events: np.ndarray,
-    geometry: SensorGeometry,
-    seg_config: SegmentConfig,
-    compare_backends: bool = True,
-) -> dict[str, float]:
-    """Events/second for segmentation + histogram building, per backend."""
-    n = events.shape[0]
-    if n == 0:
-        return {_kernels.BACKEND: 0.0}
-    t, x, y, p = event_fields(events)
-    T = seg_config.segment_duration_us
-    num_segments = max(1, int(t[-1] // T) + 1)
-    results = {}
-    if _kernels.HAVE_NUMBA:
-        # warm up the jit before timing
-        _kernels.histogram_fill(
-            t[:1], x[:1], y[:1], p[:1], 0, T, seg_config.bins_per_segment,
-            np.zeros((2, seg_config.bins_per_segment, geometry.height, geometry.width), dtype=np.int64),
-        )
-        elapsed = _time_histogram(
-            _kernels.histogram_fill, t, x, y, p, seg_config, geometry, num_segments
-        )
-        results["numba"] = n / elapsed
-    if compare_backends or not _kernels.HAVE_NUMBA:
-        elapsed = _time_histogram(
-            _kernels.histogram_fill_numpy, t, x, y, p, seg_config, geometry, num_segments
-        )
-        results["numpy"] = n / elapsed
-    return results
+        _kernels.histogram_fill(t[lo:hi], x[lo:hi], y[lo:hi], p[lo:hi], i * T, T, B, counts)
+    return n / (time.perf_counter() - start)
 
 
 def bench_adaptive(

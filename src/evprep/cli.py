@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from evprep import _kernels, bench
+from evprep import bench
 from evprep.errors import EvprepError, FormatError
 from evprep.events import SegmentConfig, SensorGeometry
 from evprep.formats import (
@@ -46,9 +47,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _add_segment_flags(p):
     p.add_argument("--segment-ms", type=float, default=50.0, help="segment duration T (ms)")
-    p.add_argument("--bins", type=int, default=10, help="temporal bins B per segment")
+    p.add_argument("--bins", type=_positive_int, default=10, help="temporal bins B per segment")
 
 
 def _seg_config(args) -> SegmentConfig:
@@ -200,15 +221,13 @@ def cmd_bench(args) -> int:
     seg_config = _seg_config(args)
     n = events.shape[0]
     print(f"events: {n}")
-    print(f"active backend: {_kernels.BACKEND}")
     if n == 0:
         print("histogram_events_per_s: 0")
         print("adaptive_events_per_s: 0")
         return EXIT_OK
-    rates = bench.bench_histogram(events, geometry, seg_config)
-    for backend, rate in rates.items():
-        print(f"segmentation+histogram [{backend}]: {rate / 1e6:.2f} M events/s")
-        print(f"histogram_events_per_s[{backend}]: {rate:.0f}")
+    rate = bench.bench_histogram(events, geometry, seg_config)
+    print(f"segmentation+histogram: {rate / 1e6:.2f} M events/s")
+    print(f"histogram_events_per_s: {rate:.0f}")
     adaptive = bench.bench_adaptive(events, geometry, seg_config)
     print(f"adaptive intensity: {adaptive / 1e6:.2f} M events/s")
     print(f"adaptive_events_per_s: {adaptive:.0f}")
@@ -232,10 +251,10 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("decay", "adaptive"), default="adaptive")
     p.add_argument("--geometry", help="WxH, switches input to text event format")
     _add_segment_flags(p)
-    p.add_argument("--alpha", type=float, default=5.0)
-    p.add_argument("--threshold", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=5.0)
+    p.add_argument("--threshold", type=_finite_float, default=1.0)
     p.add_argument("--normalizer", type=int, default=5000)
-    p.add_argument("--segments", type=int, help="number of segments (default: cover stream)")
+    p.add_argument("--segments", type=_positive_int, help="number of segments (default: cover stream)")
     p.add_argument("--resume", help="state file from a previous --save-state run")
     p.add_argument("--save-state", help="write resumable state here")
     p.add_argument("--pgm-dir", help="also write 8-bit PGM previews")
@@ -260,10 +279,10 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--feedforward", action="store_true", help="disable recurrence")
     _add_segment_flags(p)
-    p.add_argument("--alpha", type=float, default=5.0)
-    p.add_argument("--threshold", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=5.0)
+    p.add_argument("--threshold", type=_finite_float, default=1.0)
     p.add_argument("--normalizer", type=int, default=5000)
-    p.add_argument("--segments", type=int)
+    p.add_argument("--segments", type=_positive_int)
     p.add_argument("--params", help="write trained parameter blob here")
     p.set_defaults(func=cmd_pretrain_toy)
 

@@ -48,8 +48,10 @@ class IntensityConfig:
     bin_duration_us: int = 5000
 
     def __post_init__(self):
-        if self.alpha_per_s < 0:
-            raise ValueError("alpha must be >= 0")
+        if not math.isfinite(self.alpha_per_s) or self.alpha_per_s < 0:
+            raise ValueError("alpha must be finite and >= 0")
+        if not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
         if self.normalizer <= 0:
             raise ValueError("normalizer must be positive")
         if self.bin_duration_us <= 0:
@@ -182,6 +184,8 @@ def run_sequence(
         else:
             t_end = int(events["t"][-1])
             num_segments = max(1, -(-(t_end + 1 - (first_index - 1) * T) // T))
+    elif num_segments < 1:
+        raise ValueError("num_segments must be >= 1")
     segments = _segments_from(events, seg_config, num_segments, first_index)
     frames = []
     for seg in segments:

@@ -320,7 +320,6 @@ def test_criterion_10_throughput():
     geo = SensorGeometry(640, 480)
     seg = SegmentConfig(50_000, 10)
     events = synthetic_events(10_000_000, geo, 2_000_000, seed=4)
-    rates = bench_histogram(events, geo, seg, compare_backends=False)
-    backend, rate = next(iter(rates.items()))
-    assert rate >= 5e6, f"{backend} backend at {rate / 1e6:.2f} M events/s"
-    _passed(10, f"segmentation+histogram [{backend}] {rate / 1e6:.1f} M events/s (target 5.0)")
+    rate = bench_histogram(events, geo, seg)
+    assert rate >= 5e6, f"{rate / 1e6:.2f} M events/s"
+    _passed(10, f"segmentation+histogram {rate / 1e6:.1f} M events/s (target 5.0)")

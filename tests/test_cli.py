@@ -60,6 +60,27 @@ def test_usage_error_exit_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--alpha", "nan"),
+        ("--alpha", "inf"),
+        ("--threshold", "inf"),
+        ("--threshold", "-inf"),
+        ("--bins", "0"),
+        ("--segments", "0"),
+        ("--segments", "-3"),
+    ],
+)
+def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
+    out = tmp_path / "frames.intf"
+    with pytest.raises(SystemExit) as exc:
+        main(["intensity", str(evt1), "-o", str(out), flag, value])
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_exit_2(tmp_path):
     assert main(["intensity", str(tmp_path / "nope.evt1"), "-o", str(tmp_path / "o.intf")]) == 2
 

@@ -60,6 +60,21 @@ def test_unsorted_events_rejected():
         update_per_event(state, make_events([10, 5], [0, 0], [0, 0], [1, 1]))
 
 
+@pytest.mark.parametrize(
+    "kw", [{"alpha_per_s": math.nan}, {"alpha_per_s": math.inf}, {"threshold": math.nan},
+           {"threshold": -math.inf}]
+)
+def test_non_finite_config_rejected(kw):
+    with pytest.raises(ValueError):
+        decay_cfg(**kw)
+
+
+@pytest.mark.parametrize("num_segments", [0, -3])
+def test_run_sequence_rejects_non_positive_segment_count(num_segments):
+    with pytest.raises(ValueError, match="num_segments"):
+        run_sequence(make_events([], [], [], []), GEO, SEG, decay_cfg(), num_segments=num_segments)
+
+
 def test_adaptive_silent_bin_bit_identical(rng):
     state = IntensityState.initial(GEO, adaptive_cfg())
     state.frame[:] = rng.normal(size=state.frame.shape)
