@@ -47,42 +47,46 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+def _number(convert, accept, what: str):
+    """argparse type: a finite ``convert(text)`` that ``accept`` approves."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            ok = math.isfinite(value) and accept(value)
+        except (ValueError, OverflowError):  # OverflowError: int too large for a float
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
+_finite_float = _number(float, lambda v: True, "a finite number")
+_non_negative_float = _number(float, lambda v: v >= 0, "a finite number >= 0")
+_positive_float = _number(float, lambda v: v > 0, "a finite number > 0")
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
 
 
 def _add_segment_flags(p):
-    p.add_argument("--segment-ms", type=float, default=50.0, help="segment duration T (ms)")
+    p.add_argument("--segment-ms", type=_positive_float, default=50.0, help="segment duration T (ms)")
     p.add_argument("--bins", type=_positive_int, default=10, help="temporal bins B per segment")
 
 
-def _seg_config(args) -> SegmentConfig:
-    return SegmentConfig(int(round(args.segment_ms * 1000)), args.bins)
+def _add_estimator_flags(p):
+    p.add_argument("--alpha", type=_non_negative_float, default=5.0)
+    p.add_argument("--threshold", type=_finite_float, default=1.0)
+    p.add_argument("--normalizer", type=_positive_int, default=5000)
 
 
-def _int_config(args, seg_config) -> IntensityConfig:
+def _int_config(args) -> IntensityConfig:
     return IntensityConfig(
-        method=Method.PER_EVENT_DECAY if args.method == "decay" else Method.ADAPTIVE_BATCH,
+        method=Method(args.method),
         alpha_per_s=args.alpha,
         threshold=args.threshold,
         normalizer=args.normalizer,
-        bin_duration_us=seg_config.bin_duration_us,
+        bin_duration_us=args.seg_config.bin_duration_us,
     )
 
 
@@ -118,8 +122,7 @@ def cmd_intensity(args) -> int:
         events = read_text_events(args.input)
     else:
         events, geometry = read_evt1(args.input)
-    seg_config = _seg_config(args)
-    int_config = _int_config(args, seg_config)
+    seg_config, int_config = args.seg_config, _int_config(args)
     resume = load_state(args.resume) if args.resume else None
     state, frames = run_sequence(
         events,
@@ -179,14 +182,7 @@ def cmd_report(args) -> int:
 
 def cmd_pretrain_toy(args) -> int:
     scene, _ = load_scene(args.scene)
-    seg_config = _seg_config(args)
-    int_config = IntensityConfig(
-        method=Method.ADAPTIVE_BATCH,
-        alpha_per_s=args.alpha,
-        threshold=args.threshold,
-        normalizer=args.normalizer,
-        bin_duration_us=seg_config.bin_duration_us,
-    )
+    seg_config, int_config = args.seg_config, _int_config(args)
     num_segments = args.segments or max(
         1, scene.duration_us // seg_config.segment_duration_us
     )
@@ -218,13 +214,9 @@ def cmd_pretrain_toy(args) -> int:
 
 def cmd_bench(args) -> int:
     events, geometry = read_evt1(args.input)
-    seg_config = _seg_config(args)
+    seg_config = args.seg_config
     n = events.shape[0]
     print(f"events: {n}")
-    if n == 0:
-        print("histogram_events_per_s: 0")
-        print("adaptive_events_per_s: 0")
-        return EXIT_OK
     rate = bench.bench_histogram(events, geometry, seg_config)
     print(f"segmentation+histogram: {rate / 1e6:.2f} M events/s")
     print(f"histogram_events_per_s: {rate:.0f}")
@@ -251,9 +243,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("decay", "adaptive"), default="adaptive")
     p.add_argument("--geometry", help="WxH, switches input to text event format")
     _add_segment_flags(p)
-    p.add_argument("--alpha", type=_finite_float, default=5.0)
-    p.add_argument("--threshold", type=_finite_float, default=1.0)
-    p.add_argument("--normalizer", type=int, default=5000)
+    _add_estimator_flags(p)
     p.add_argument("--segments", type=_positive_int, help="number of segments (default: cover stream)")
     p.add_argument("--resume", help="state file from a previous --save-state run")
     p.add_argument("--save-state", help="write resumable state here")
@@ -279,12 +269,10 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--feedforward", action="store_true", help="disable recurrence")
     _add_segment_flags(p)
-    p.add_argument("--alpha", type=_finite_float, default=5.0)
-    p.add_argument("--threshold", type=_finite_float, default=1.0)
-    p.add_argument("--normalizer", type=int, default=5000)
+    _add_estimator_flags(p)
     p.add_argument("--segments", type=_positive_int)
     p.add_argument("--params", help="write trained parameter blob here")
-    p.set_defaults(func=cmd_pretrain_toy)
+    p.set_defaults(func=cmd_pretrain_toy, method=Method.ADAPTIVE_BATCH.value)
 
     p = sub.add_parser("bench", help="kernel throughput report")
     p.add_argument("input", help="EVT1 file")
@@ -297,6 +285,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "segment_ms" in args:
+        try:
+            args.seg_config = SegmentConfig(int(round(args.segment_ms * 1000)), args.bins)
+        except ValueError as exc:
+            parser.error(f"--segment-ms {args.segment_ms:g} with --bins {args.bins}: {exc}")
     try:
         return args.func(args)
     except (EvprepError, OSError, ValueError) as exc:

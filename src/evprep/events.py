@@ -60,6 +60,8 @@ class SegmentConfig:
     def __post_init__(self):
         if self.segment_duration_us <= 0 or self.bins_per_segment <= 0:
             raise ValueError("segment duration and bin count must be positive")
+        if self.segment_duration_us >= 2**63:
+            raise ValueError("segment duration must be below 2**63us")
         if self.segment_duration_us % self.bins_per_segment != 0:
             raise ValueError(
                 f"segment duration {self.segment_duration_us}us not divisible "
@@ -126,23 +128,27 @@ def segment_stream(
     geometry: SensorGeometry,
     config: SegmentConfig,
     num_segments: int,
+    first_index: int = 1,
 ) -> tuple[list[EventSegment], int]:
-    """Partition a sorted stream into ``num_segments`` half-open windows.
+    """Validate a stream and partition it into ``num_segments`` half-open
+    windows, numbered from ``first_index``.
 
-    Returns the segments covering [0, M*T) and the count of dropped
-    events (those with t >= M*T).
+    Returns the segments covering [(first_index-1)*T, (first_index-1+M)*T)
+    and the count of dropped events: those outside that window.
     """
     if num_segments < 1:
         raise ValueError("num_segments must be >= 1")
+    if first_index < 1:
+        raise ValueError("first_index must be >= 1")
     validate_stream(events, geometry)
-    T = config.segment_duration_us
-    boundaries = np.arange(0, (num_segments + 1) * T, T, dtype=np.uint64)
+    T = np.uint64(config.segment_duration_us)
+    boundaries = np.arange(first_index - 1, first_index + num_segments, dtype=np.uint64) * T
     splits = np.searchsorted(events["t"], boundaries, side="left")
     segments = [
-        EventSegment(index=i + 1, events=events[splits[i] : splits[i + 1]])
+        EventSegment(index=first_index + i, events=events[splits[i] : splits[i + 1]])
         for i in range(num_segments)
     ]
-    dropped = events.shape[0] - int(splits[-1])
+    dropped = events.shape[0] - int(splits[-1] - splits[0])
     return segments, dropped
 
 

@@ -65,6 +65,8 @@ def read_text_events(path) -> np.ndarray:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             if p not in (-1, 1):
                 raise FormatError(f"{path}:{lineno}: polarity must be -1 or 1, got {p}")
+            if not (0 <= t < 2**64 and 0 <= x < 2**16 and 0 <= y < 2**16):
+                raise FormatError(f"{path}:{lineno}: t, x or y out of range: {line!r}")
             ts.append(t)
             xs.append(x)
             ys.append(y)

@@ -27,10 +27,8 @@ from evprep.events import (
     EventSegment,
     SegmentConfig,
     SensorGeometry,
-    build_histogram,
     event_fields,
-    signed_bin_accumulation,
-    validate_stream,
+    segment_stream,
 )
 
 
@@ -109,12 +107,13 @@ def update_per_event(state: IntensityState, events: np.ndarray) -> IntensityStat
 
 
 def update_adaptive_batch(
-    state: IntensityState, signed_bin: np.ndarray, n: int
+    state: IntensityState, signed_bin: np.ndarray | None, n: int
 ) -> IntensityState:
     """Apply one temporal bin of the globally-batched rule in place.
 
     ``n`` is the total unsigned event count over the whole frame in this
-    bin; ``signed_bin`` the per-pixel positive-minus-negative count.
+    bin; ``signed_bin`` the per-pixel positive-minus-negative count, which
+    is not read when ``n`` is 0 and may then be None.
     """
     if n < 0:
         raise ValueError("event count must be >= 0")
@@ -131,20 +130,31 @@ def update_adaptive_batch(
     return state
 
 
-def _segments_from(
-    events: np.ndarray,
-    config: SegmentConfig,
-    num_segments: int,
-    first_index: int,
-) -> list[EventSegment]:
-    T = config.segment_duration_us
-    start = (first_index - 1) * T
-    boundaries = start + np.arange(0, (num_segments + 1) * T, T, dtype=np.int64)
-    splits = np.searchsorted(events["t"], boundaries.astype(np.uint64), side="left")
-    return [
-        EventSegment(index=first_index + i, events=events[splits[i] : splits[i + 1]])
-        for i in range(num_segments)
-    ]
+def _update_adaptive_segment(
+    state: IntensityState, segment: EventSegment, config: SegmentConfig
+) -> None:
+    """Apply every bin of one segment under the batch rule, in place.
+
+    Events are sorted and T/B is exact, so bin tau is the contiguous slice
+    of events in [start + tau*T/B, start + (tau+1)*T/B): its count is the
+    slice length and its signed image one polarity-weighted bincount, whose
+    integer sums are exact in float64, as ``signed_bin_accumulation``'s are.
+    """
+    events = segment.events
+    height, width = state.frame.shape
+    start = (segment.index - 1) * config.segment_duration_us
+    bin_starts = np.arange(config.bins_per_segment + 1, dtype=np.uint64)
+    edges = np.searchsorted(
+        events["t"], np.uint64(start) + bin_starts * np.uint64(config.bin_duration_us)
+    ).tolist()
+    pix = events["y"].astype(np.intp) * width + events["x"]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        signed = None
+        if hi > lo:
+            signed = np.bincount(
+                pix[lo:hi], weights=events["p"][lo:hi], minlength=height * width
+            ).reshape(height, width)
+        update_adaptive_batch(state, signed, hi - lo)
 
 
 def run_sequence(
@@ -175,28 +185,18 @@ def run_sequence(
         raise ValueError(
             "adaptive bin duration must equal the segment config's T/B"
         )
-    validate_stream(events, geometry)
     first_index = state.segments_done + 1
     T = seg_config.segment_duration_us
     if num_segments is None:
-        if events.shape[0] == 0:
-            num_segments = 1
-        else:
-            t_end = int(events["t"][-1])
-            num_segments = max(1, -(-(t_end + 1 - (first_index - 1) * T) // T))
-    elif num_segments < 1:
-        raise ValueError("num_segments must be >= 1")
-    segments = _segments_from(events, seg_config, num_segments, first_index)
+        t_end = int(events["t"][-1]) if events.shape[0] else -1
+        num_segments = max(1, -(-(t_end + 1 - (first_index - 1) * T) // T))
+    segments, _ = segment_stream(events, geometry, seg_config, num_segments, first_index)
     frames = []
     for seg in segments:
         if int_config.method is Method.PER_EVENT_DECAY:
             update_per_event(state, seg.events)
         else:
-            hist = build_histogram(seg, geometry, seg_config)
-            for tau in range(seg_config.bins_per_segment):
-                signed = signed_bin_accumulation(hist, tau)
-                n = int(hist.counts[:, tau].sum())
-                update_adaptive_batch(state, signed, n)
+            _update_adaptive_segment(state, seg, seg_config)
         state.segments_done = seg.index
         frames.append(state.frame.astype(np.float32))
     return state, frames

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from evprep.errors import FormatError, GeometryError
-from evprep.events import SegmentConfig, SensorGeometry, build_histogram, flatten_histogram
+from evprep.events import SegmentConfig, build_histogram, flatten_histogram, segment_stream
 from evprep.intensity import IntensityConfig, Method, run_sequence
 from evprep.losses import sequence_loss
 from evprep.masking import PatchGrid, TubeMask, apply_mask, normalize_patches, sample_tube_mask
@@ -250,9 +250,7 @@ def build_training_data(
     """Simulate the scene once and derive (model inputs, raw targets)."""
     events = simulate_events(scene)
     geometry = scene.geometry
-    from evprep.intensity import _segments_from
-
-    segments = _segments_from(events, seg_config, num_segments, 1)
+    segments, _ = segment_stream(events, geometry, seg_config, num_segments)
     inputs = [
         flatten_histogram(build_histogram(s, geometry, seg_config, clip_max=clip_max))
         for s in segments

@@ -22,6 +22,7 @@ from evprep import (
     normalize_depth,
     run_sequence,
     sample_tube_mask,
+    segment_stream,
     simulate_events,
     swept_region,
     trail_energy,
@@ -32,7 +33,6 @@ from evprep import (
 from evprep.bench import bench_histogram, synthetic_events
 from evprep.events import build_histogram, make_events, signed_bin_accumulation
 from evprep.formats import write_intf
-from evprep.intensity import _segments_from
 from evprep.masking import serialize_mask
 from evprep.toymodel import (
     ToyModelConfig,
@@ -128,7 +128,7 @@ def test_criterion_3_blur_elimination():
     )
     state = IntensityState.initial(geo, cfg)
     frames, counts = [], []
-    for s in _segments_from(events, seg, 5, 1):
+    for s in segment_stream(events, geo, seg, 5)[0]:
         hist = build_histogram(s, geo, seg)
         for tau in range(seg.bins_per_segment):
             n = int(hist.counts[:, tau].sum())
@@ -153,7 +153,7 @@ def test_criterion_3_blur_elimination():
     dcfg = IntensityConfig(Method.PER_EVENT_DECAY, alpha_per_s=alpha, threshold=C)
     dstate = IntensityState.initial(geo, dcfg)
     dframes = []
-    for s in _segments_from(events, seg, 5, 1):
+    for s in segment_stream(events, geo, seg, 5)[0]:
         for tau in range(seg.bins_per_segment):
             lo = (s.index - 1) * seg.segment_duration_us + tau * seg.bin_duration_us
             hi = lo + seg.bin_duration_us
@@ -174,7 +174,7 @@ def test_criterion_4_histogram_conservation_1m():
     seg = SegmentConfig(50_000, 10)
     events = synthetic_events(1_000_000, geo, 500_000, seed=9)
     total = 0
-    for s in _segments_from(events, seg, 10, 1):
+    for s in segment_stream(events, geo, seg, 10)[0]:
         hist = build_histogram(s, geo, seg)
         total += hist.total()
         assert (hist.counts >= 0).all()

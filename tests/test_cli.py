@@ -70,6 +70,15 @@ def test_usage_error_exit_1(capsys):
         ("--bins", "0"),
         ("--segments", "0"),
         ("--segments", "-3"),
+        ("--segment-ms", "0"),
+        ("--segment-ms", "-5"),
+        ("--segment-ms", "nan"),
+        ("--segment-ms", "inf"),
+        ("--segment-ms", "0.0004"),
+        ("--segment-ms", "1e17"),
+        ("--bins", "3"),
+        ("--normalizer", "0"),
+        ("--alpha", "-1"),
     ],
 )
 def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
@@ -79,6 +88,40 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
     assert exc.value.code == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("pretrain-toy", "--segment-ms", "nan"),
+        ("pretrain-toy", "--bins", "3"),
+        ("pretrain-toy", "--normalizer", "0"),
+        ("pretrain-toy", "--alpha", "-1"),
+        ("bench", "--segment-ms", "0"),
+        ("bench", "--segment-ms", "0.0004"),
+        ("bench", "--bins", "3"),
+    ],
+)
+def test_bad_flag_exit_1_other_commands(evt1, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "curve.txt"
+    if command == "pretrain-toy":
+        argv = [command, str(SCENES / "disc.scene"), "-o", str(out), "--steps", "1"]
+    else:
+        argv = [command, str(evt1)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_text_event_out_of_range_exit_2(tmp_path, capsys):
+    text = tmp_path / "events.txt"
+    text.write_text("-5 3 4 1\n")
+    rc = main(["intensity", str(text), "-o", str(tmp_path / "o.intf"), "--geometry", "32x16"])
+    assert rc == 2
+    assert f"{text}:1:" in capsys.readouterr().err
 
 
 def test_missing_input_exit_2(tmp_path):

@@ -46,6 +46,17 @@ def test_events_past_window_dropped_and_counted():
     assert dropped == 2
 
 
+def test_first_index_offsets_windows_and_counts_events_outside():
+    T = CFG.segment_duration_us
+    ev = make_events([10, 2 * T - 1, 2 * T, 3 * T], [0] * 4, [0] * 4, [1] * 4)
+    segs, dropped = segment_stream(ev, GEO, CFG, 1, first_index=3)
+    assert [s.index for s in segs] == [3]
+    assert segs[0].events["t"].tolist() == [2 * T]
+    assert dropped == 3
+    with pytest.raises(ValueError, match="first_index"):
+        segment_stream(ev, GEO, CFG, 1, first_index=0)
+
+
 def test_unsorted_rejected_with_index():
     ev = make_events([5, 3, 7], [0, 0, 0], [0, 0, 0], [1, 1, 1])
     with pytest.raises(StreamOrderError) as exc:

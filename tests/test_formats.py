@@ -87,6 +87,16 @@ def test_text_events_bad_polarity(tmp_path):
         read_text_events(path)
 
 
+@pytest.mark.parametrize(
+    "line", ["-5 3 4 1", "10 65536 4 1", "10 3 70000 1", "10 -1 4 1", f"{2**64} 3 4 1"]
+)
+def test_text_events_out_of_range(tmp_path, line):
+    path = tmp_path / "events.txt"
+    path.write_text(f"10 3 4 1\n{line}\n")
+    with pytest.raises(FormatError, match=":2: .*out of range"):
+        read_text_events(path)
+
+
 def test_intf_roundtrip(tmp_path, rng):
     frames = [rng.normal(size=(GEO.height, GEO.width)).astype(np.float32) for _ in range(4)]
     path = tmp_path / "frames.intf"

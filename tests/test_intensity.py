@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evprep import (
     IntensityConfig,
@@ -15,7 +17,12 @@ from evprep import (
     update_per_event,
 )
 from evprep.errors import StreamOrderError
-from evprep.events import make_events
+from evprep.events import (
+    EventSegment,
+    build_histogram,
+    make_events,
+    signed_bin_accumulation,
+)
 from conftest import disc_scene
 
 GEO = SensorGeometry(16, 12)
@@ -198,3 +205,74 @@ def test_eq6_trail_persists_eq7_trail_decays(scene):
     assert all(a == pytest.approx(e_decay[0], rel=1e-9) for a in e_decay)
     assert all(b < a for a, b in zip(e_adaptive, e_adaptive[1:]))
     assert e_adaptive[-1] < e_decay[-1]
+
+
+def adaptive_oracle(events, geo, seg, cfg, num_segments):
+    """The adaptive rule through a full (2, B, H, W) histogram per segment."""
+    state = IntensityState.initial(geo, cfg)
+    T = seg.segment_duration_us
+    t = events["t"].astype(np.int64)
+    frames = []
+    for k in range(1, num_segments + 1):
+        inside = (t >= (k - 1) * T) & (t < k * T)
+        hist = build_histogram(EventSegment(k, events[inside]), geo, seg)
+        for tau in range(seg.bins_per_segment):
+            signed = signed_bin_accumulation(hist, tau)
+            update_adaptive_batch(state, signed, int(hist.counts[:, tau].sum()))
+        state.segments_done = k
+        frames.append(state.frame.astype(np.float32))
+    return state, frames
+
+
+@st.composite
+def adaptive_runs(draw):
+    """A sorted stream on a small sensor with adaptive settings, a segment
+    count and the number of segments run before a resume (0: one run)."""
+    geo = SensorGeometry(draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    bins = draw(st.integers(1, 4))
+    bin_us = draw(st.integers(1, 6))
+    seg = SegmentConfig(bins * bin_us, bins)
+    # up to six segments of mostly silent bins; about half the timestamps
+    # sit exactly on a bin edge, and every segment edge is one
+    span = 6 * seg.segment_duration_us
+    times = st.one_of(
+        st.integers(0, span), st.integers(0, span // bin_us).map(lambda k: k * bin_us)
+    )
+    n = draw(st.integers(0, 60))
+    events = make_events(
+        sorted(draw(st.lists(times, min_size=n, max_size=n))),
+        draw(st.lists(st.integers(0, geo.width - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, geo.height - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+    )
+    cfg = IntensityConfig(
+        Method.ADAPTIVE_BATCH,
+        alpha_per_s=draw(st.floats(0.0, 1e5)),
+        threshold=draw(st.floats(-10.0, 10.0)),
+        normalizer=draw(st.integers(1, 50)),
+        bin_duration_us=bin_us,
+    )
+    # up to eight segments: the run may stop before the last event or
+    # continue past it
+    num_segments = draw(st.integers(1, 8))
+    return events, geo, seg, cfg, num_segments, draw(st.integers(0, num_segments - 1))
+
+
+@given(adaptive_runs())
+@settings(max_examples=200, deadline=None)
+def test_adaptive_matches_histogram_oracle(run):
+    events, geo, seg, cfg, num_segments, first = run
+    ref_state, ref_frames = adaptive_oracle(events, geo, seg, cfg, num_segments)
+
+    state, frames = None, []
+    if first:
+        state, frames = run_sequence(events, geo, seg, cfg, num_segments=first)
+    # the resumed run sees the whole stream and must skip what came before
+    state, rest = run_sequence(
+        events, geo, seg, cfg, resume=state, num_segments=num_segments - first
+    )
+    frames += rest
+    assert [f.tobytes() for f in frames] == [f.tobytes() for f in ref_frames]
+    assert state.frame.tobytes() == ref_state.frame.tobytes()
+    assert state.last_update_time_us == ref_state.last_update_time_us
+    assert state.segments_done == num_segments
