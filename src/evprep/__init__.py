@@ -12,6 +12,7 @@ from evprep.events import (
     SegmentConfig,
     SensorGeometry,
     StageHistogram,
+    bin_edges,
     build_histogram,
     flatten_histogram,
     make_events,

@@ -6,8 +6,7 @@ import time
 
 import numpy as np
 
-from evprep import _kernels
-from evprep.events import SegmentConfig, SensorGeometry, event_fields
+from evprep.events import SegmentConfig, SensorGeometry, build_histogram, segment_stream
 from evprep.intensity import IntensityConfig, Method, run_sequence
 
 
@@ -18,17 +17,11 @@ def bench_histogram(
     n = events.shape[0]
     if n == 0:
         return 0.0
-    t, x, y, p = event_fields(events)
-    T = seg_config.segment_duration_us
-    B = seg_config.bins_per_segment
-    num_segments = max(1, int(t[-1] // T) + 1)
-    boundaries = np.arange(0, (num_segments + 1) * T, T, dtype=np.int64)
-    splits = np.searchsorted(t, boundaries, side="left")
+    num_segments = int(events["t"][-1]) // seg_config.segment_duration_us + 1
     start = time.perf_counter()
-    for i in range(num_segments):
-        lo, hi = splits[i], splits[i + 1]
-        counts = np.zeros((2, B, geometry.height, geometry.width), dtype=np.int64)
-        _kernels.histogram_fill(t[lo:hi], x[lo:hi], y[lo:hi], p[lo:hi], i * T, T, B, counts)
+    segments, _ = segment_stream(events, geometry, seg_config, num_segments)
+    for seg in segments:
+        build_histogram(seg, geometry, seg_config)
     return n / (time.perf_counter() - start)
 
 

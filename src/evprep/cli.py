@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from evprep import bench
-from evprep.errors import EvprepError, FormatError
+from evprep.errors import EvprepError, FormatError, GeometryError
 from evprep.events import SegmentConfig, SensorGeometry
 from evprep.formats import (
     load_state,
@@ -69,6 +69,15 @@ _positive_float = _number(float, lambda v: v > 0, "a finite number > 0")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
 
 
+def _geometry(text: str) -> SensorGeometry:
+    """argparse type: ``WxH`` with positive integer width and height."""
+    try:
+        width, height = (int(v) for v in text.lower().split("x"))
+        return SensorGeometry(width, height)
+    except (ValueError, GeometryError) as exc:
+        raise argparse.ArgumentTypeError(f"not WxH: {text!r} ({exc})") from exc
+
+
 def _add_segment_flags(p):
     p.add_argument("--segment-ms", type=_positive_float, default=50.0, help="segment duration T (ms)")
     p.add_argument("--bins", type=_positive_int, default=10, help="temporal bins B per segment")
@@ -117,8 +126,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_intensity(args) -> int:
     if args.geometry:
-        w, h = args.geometry.lower().split("x")
-        geometry = SensorGeometry(int(w), int(h))
+        geometry = args.geometry
         events = read_text_events(args.input)
     else:
         events, geometry = read_evt1(args.input)
@@ -241,7 +249,7 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="EVT1 file (or text events with --geometry)")
     p.add_argument("-o", "--output", required=True, help="INTF output path")
     p.add_argument("--method", choices=("decay", "adaptive"), default="adaptive")
-    p.add_argument("--geometry", help="WxH, switches input to text event format")
+    p.add_argument("--geometry", type=_geometry, help="WxH, switches input to text event format")
     _add_segment_flags(p)
     _add_estimator_flags(p)
     p.add_argument("--segments", type=_positive_int, help="number of segments (default: cover stream)")

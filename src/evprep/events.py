@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from evprep import _kernels
 from evprep.errors import GeometryError, StreamOrderError
 
 # packed 13-byte record, identical to one EVT1 file record
@@ -31,23 +30,15 @@ def make_events(t, x, y, p) -> np.ndarray:
     return ev
 
 
-def event_fields(events: np.ndarray):
-    """Split a record array into contiguous (t, x, y, p) int arrays."""
-    t = np.ascontiguousarray(events["t"]).astype(np.int64)
-    x = np.ascontiguousarray(events["x"]).astype(np.int64)
-    y = np.ascontiguousarray(events["y"]).astype(np.int64)
-    p = np.ascontiguousarray(events["p"]).astype(np.int64)
-    return t, x, y, p
-
-
 @dataclass(frozen=True)
 class SensorGeometry:
     width: int
     height: int
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise GeometryError(f"invalid geometry {self.width}x{self.height}")
+        # EVT1 and INTF headers store both as u16
+        if not (0 < self.width < 2**16 and 0 < self.height < 2**16):
+            raise GeometryError(f"invalid geometry {self.width}x{self.height}, not in [1, 65535]")
 
 
 @dataclass(frozen=True)
@@ -152,27 +143,45 @@ def segment_stream(
     return segments, dropped
 
 
+def bin_edges(segment: EventSegment, config: SegmentConfig) -> np.ndarray:
+    """Event offsets of the segment's B+1 temporal bin edges.
+
+    Bin tau holds ``segment.events[edges[tau]:edges[tau+1]]``: the events
+    in [start + tau*T/B, start + (tau+1)*T/B) with start = (index-1)*T.
+    Events must be sorted by time, as ``segment_stream`` returns them.
+    Raises ValueError if any event lies outside the segment's window.
+    """
+    start = (segment.index - 1) * config.segment_duration_us
+    steps = np.arange(config.bins_per_segment + 1, dtype=np.uint64)
+    edges = np.searchsorted(
+        segment.events["t"], np.uint64(start) + steps * np.uint64(config.bin_duration_us)
+    )
+    if edges[0] != 0 or edges[-1] != segment.num_events:
+        raise ValueError(
+            f"segment {segment.index}: {segment.num_events - int(edges[-1] - edges[0])} "
+            f"events outside its window [{start}, {start + config.segment_duration_us})us"
+        )
+    return edges
+
+
 def build_histogram(
     segment: EventSegment,
     geometry: SensorGeometry,
     config: SegmentConfig,
     clip_max: int | None = None,
 ) -> StageHistogram:
-    """Count events per (polarity, temporal bin, pixel).
+    """Count events per (polarity, temporal bin, pixel), with the bins of
+    ``bin_edges``.
 
-    Bin index is floor(rel_t * B / T) on integer microseconds, clamped
-    into [0, B-1].
+    Raises StreamOrderError or GeometryError for an unsorted or
+    out-of-geometry segment, ValueError for events outside its window.
     """
-    B = config.bins_per_segment
-    counts = np.zeros(
-        (2, B, geometry.height, geometry.width), dtype=np.int64
-    )
-    if segment.num_events:
-        t, x, y, p = event_fields(segment.events)
-        seg_start = (segment.index - 1) * config.segment_duration_us
-        _kernels.histogram_fill(
-            t, x, y, p, seg_start, config.segment_duration_us, B, counts
-        )
+    B, H, W = config.bins_per_segment, geometry.height, geometry.width
+    ev = segment.events
+    validate_stream(ev, geometry)
+    tau = np.repeat(np.arange(B, dtype=np.intp), np.diff(bin_edges(segment, config)))
+    flat = (((ev["p"] > 0) * B + tau) * H + ev["y"]) * W + ev["x"]
+    counts = np.bincount(flat, minlength=2 * B * H * W).reshape(2, B, H, W)
     return StageHistogram(counts=counts, clip_max=clip_max)
 
 

@@ -137,22 +137,32 @@ def save_state(path, state: IntensityState) -> None:
 
 
 def load_state(path) -> IntensityState:
+    """Read a ``save_state`` file; a missing or malformed array is a FormatError."""
     try:
         data = np.load(path)
+        config = IntensityConfig(
+            method=Method(bytes(data["method"]).decode()),
+            alpha_per_s=float(data["alpha_per_s"]),
+            threshold=float(data["threshold"]),
+            normalizer=int(data["normalizer"]),
+            bin_duration_us=int(data["bin_duration_us"]),
+        )
+        state = IntensityState(
+            frame=data["frame"],
+            last_update_time_us=int(data["last_update_time_us"]),
+            config=config,
+            geometry=SensorGeometry(int(data["width"]), int(data["height"])),
+            last_event_t_us=data["last_event_t_us"],
+            segments_done=int(data["segments_done"]),
+        )
     except Exception as exc:
         raise FormatError(f"{path}: cannot read state file: {exc}") from exc
-    config = IntensityConfig(
-        method=Method(bytes(data["method"]).decode()),
-        alpha_per_s=float(data["alpha_per_s"]),
-        threshold=float(data["threshold"]),
-        normalizer=int(data["normalizer"]),
-        bin_duration_us=int(data["bin_duration_us"]),
-    )
-    return IntensityState(
-        frame=data["frame"],
-        last_update_time_us=int(data["last_update_time_us"]),
-        config=config,
-        geometry=SensorGeometry(int(data["width"]), int(data["height"])),
-        last_event_t_us=data["last_event_t_us"],
-        segments_done=int(data["segments_done"]),
-    )
+    shape = (state.geometry.height, state.geometry.width)
+    for name, dtype in (("frame", np.float64), ("last_event_t_us", np.int64)):
+        array = getattr(state, name)
+        if array.dtype != dtype or array.shape != shape:
+            raise FormatError(
+                f"{path}: {name} is {array.dtype} {array.shape}, "
+                f"expected {np.dtype(dtype)} {shape}"
+            )
+    return state

@@ -79,6 +79,12 @@ def test_usage_error_exit_1(capsys):
         ("--bins", "3"),
         ("--normalizer", "0"),
         ("--alpha", "-1"),
+        ("--geometry", "abc"),
+        ("--geometry", "8x"),
+        ("--geometry", "8x8x8"),
+        ("--geometry", "0x8"),
+        ("--geometry", "8x-2"),
+        ("--geometry", "70000x10"),
     ],
 )
 def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
@@ -249,3 +255,34 @@ def test_bench_reports_rates(evt1, capsys):
     out = capsys.readouterr().out
     assert "M events/s" in out
     assert "histogram_events_per_s" in out
+
+
+@pytest.mark.parametrize(
+    "method, name, value",
+    [
+        # each used to end in a traceback, except the first: a 3x3 frame in an
+        # 8x8 state wrote an unreadable 48-byte INTF and exited 0
+        ("adaptive", "frame", np.zeros((3, 3))),
+        ("adaptive", "frame", np.zeros((8, 8), dtype=np.int64)),
+        ("decay", "last_event_t_us", np.zeros((2, 2), dtype=np.int64)),
+        ("decay", "segments_done", None),
+    ],
+)
+def test_resume_bad_state_exit_2(tmp_path, capsys, method, name, value):
+    text = tmp_path / "ev.txt"
+    text.write_text("10 1 1 1\n20 2 2 -1\n60000 1 1 1\n70000 2 2 -1\n")
+    state = tmp_path / "s.npz"
+    argv = ["intensity", str(text), "--geometry", "8x8", "--method", method,
+            "--segments", "1"]
+    assert main(argv + ["-o", str(tmp_path / "a.intf"), "--save-state", str(state)]) == 0
+    with np.load(state) as data:
+        arrays = {key: data[key] for key in data.files}
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    np.savez(state, **arrays)
+    out = tmp_path / "b.intf"
+    assert main(argv + ["-o", str(out), "--resume", str(state)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()

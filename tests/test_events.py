@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from evprep import (
     SegmentConfig,
     SensorGeometry,
+    bin_edges,
     build_histogram,
     flatten_histogram,
     segment_stream,
@@ -90,6 +91,45 @@ def test_bin_index_uses_segment_offset():
     assert hist.counts[1, 5, 0, 0] == 1
 
 
+@pytest.mark.parametrize(
+    "index, t", [(2, 10), (1, 70_000), (1, CFG.segment_duration_us)]
+)
+def test_event_outside_segment_window_rejected(index, t):
+    # the floor formula counted the first case in the negative plane, bin 0,
+    # and clamped the other two into bin B-1
+    seg = EventSegment(index, make_events([t], [0], [0], [1]))
+    with pytest.raises(ValueError, match="window"):
+        build_histogram(seg, GEO, CFG)
+    with pytest.raises(ValueError, match="window"):
+        bin_edges(seg, CFG)
+
+
+def test_histogram_rejects_unsorted_or_out_of_geometry_segment():
+    # x = W used to be counted at pixel (0, y + 1)
+    seg = EventSegment(1, make_events([5], [GEO.width], [0], [1]))
+    with pytest.raises(GeometryError):
+        build_histogram(seg, GEO, CFG)
+    seg = EventSegment(1, make_events([30_000, 10_000], [0, 0], [0, 0], [1, 1]))
+    with pytest.raises(StreamOrderError):
+        build_histogram(seg, GEO, CFG)
+
+
+def test_bin_edges_offsets():
+    T, bin_us = CFG.segment_duration_us, CFG.bin_duration_us
+    ev = make_events([T, T, T + bin_us - 1, T + bin_us, 2 * T - 1], [0] * 5, [0] * 5, [1] * 5)
+    edges = bin_edges(EventSegment(2, ev), CFG)
+    assert edges.tolist() == [0, 3] + [4] * (CFG.bins_per_segment - 2) + [5]
+    empty = bin_edges(EventSegment(7, make_events([], [], [], [])), CFG)
+    assert empty.tolist() == [0] * (CFG.bins_per_segment + 1)
+
+
+@pytest.mark.parametrize("width, height", [(65_536, 1), (1, 65_536), (70_000, 10)])
+def test_geometry_outside_16_bit_rejected(width, height):
+    with pytest.raises(GeometryError):
+        SensorGeometry(width, height)
+    SensorGeometry(65_535, 65_535)
+
+
 def test_same_cell_accumulates():
     ev = make_events([100, 200], [5, 5], [6, 6], [-1, -1])
     hist = build_histogram(EventSegment(1, ev), GEO, CFG)
@@ -165,6 +205,46 @@ def test_conservation_and_bin_bounds(events):
         hist = build_histogram(seg, GEO, CFG)
         assert hist.total() == seg.num_events
         assert (hist.counts >= 0).all()
+
+
+def floor_oracle(segment, geo, cfg):
+    """Per-event bin floor((t - start) * B / T), clamped to B-1, counted one by one."""
+    B, T = cfg.bins_per_segment, cfg.segment_duration_us
+    start = (segment.index - 1) * T
+    counts = np.zeros((2, B, geo.height, geo.width), dtype=np.int64)
+    for ev in segment.events:
+        tau = min((int(ev["t"]) - start) * B // T, B - 1)
+        counts[(int(ev["p"]) + 1) // 2, tau, int(ev["y"]), int(ev["x"])] += 1
+    return counts
+
+
+@st.composite
+def binned_segments(draw):
+    """A sorted in-window segment under a random T/B, about half of its
+    timestamps on a bin edge."""
+    bins = draw(st.integers(1, 6))
+    cfg = SegmentConfig(bins * draw(st.integers(1, 9)), bins)
+    index = draw(st.integers(1, 4))
+    start, T = (index - 1) * cfg.segment_duration_us, cfg.segment_duration_us
+    times = st.one_of(
+        st.integers(start, start + T - 1),
+        st.integers(0, bins - 1).map(lambda k: start + k * cfg.bin_duration_us),
+    )
+    n = draw(st.integers(0, 80))
+    events = make_events(
+        sorted(draw(st.lists(times, min_size=n, max_size=n))),
+        draw(st.lists(st.integers(0, GEO.width - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, GEO.height - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+    )
+    return EventSegment(index, events), cfg
+
+
+@given(binned_segments())
+@settings(max_examples=150, deadline=None)
+def test_histogram_matches_floor_oracle(case):
+    seg, cfg = case
+    assert np.array_equal(build_histogram(seg, GEO, cfg).counts, floor_oracle(seg, GEO, cfg))
 
 
 def test_build_flatten_deterministic(rng):

@@ -156,3 +156,36 @@ def test_load_state_garbage(tmp_path):
     path.write_bytes(b"not an archive")
     with pytest.raises(FormatError):
         load_state(path)
+
+
+def saved_state_arrays(tmp_path):
+    """The arrays of a saved 3x2 decay state, as a dict to tamper with."""
+    geo = SensorGeometry(3, 2)
+    path = tmp_path / "good.npz"
+    save_state(path, IntensityState.initial(geo, IntensityConfig(Method.PER_EVENT_DECAY)))
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("frame", None),
+        ("segments_done", None),
+        ("frame", np.zeros((3, 3))),
+        ("frame", np.zeros((2, 3), dtype=np.int64)),
+        ("frame", np.zeros(6)),
+        ("last_event_t_us", np.zeros((2, 2), dtype=np.int64)),
+        ("last_event_t_us", np.zeros((2, 3))),
+    ],
+)
+def test_load_state_checks_arrays(tmp_path, name, value):
+    arrays = saved_state_arrays(tmp_path)
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    path = tmp_path / "bad.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(FormatError, match=name):
+        load_state(path)

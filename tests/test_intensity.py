@@ -16,7 +16,7 @@ from evprep import (
     update_adaptive_batch,
     update_per_event,
 )
-from evprep.errors import StreamOrderError
+from evprep.errors import GeometryError, StreamOrderError
 from evprep.events import (
     EventSegment,
     build_histogram,
@@ -63,8 +63,21 @@ def test_event_pair_closed_form():
 
 def test_unsorted_events_rejected():
     state = IntensityState.initial(GEO, decay_cfg())
-    with pytest.raises(StreamOrderError):
-        update_per_event(state, make_events([10, 5], [0, 0], [0, 0], [1, 1]))
+    with pytest.raises(StreamOrderError) as exc:
+        update_per_event(state, make_events([3, 10, 5], [0, 0, 0], [0, 0, 0], [1, 1, 1]))
+    assert exc.value.index == 2
+    state.last_update_time_us = 4
+    with pytest.raises(StreamOrderError) as exc:
+        update_per_event(state, make_events([3, 10], [0, 0], [0, 0], [1, 1]))
+    assert exc.value.index == 0
+
+
+def test_per_event_outside_geometry_rejected():
+    # x=5 on a 4-wide sensor used to land on pixel (1, 1) of the next row
+    state = IntensityState.initial(SensorGeometry(4, 3), decay_cfg())
+    with pytest.raises(GeometryError, match=r"\(5, 0\)"):
+        update_per_event(state, make_events([10], [5], [0], [1]))
+    assert not state.frame.any() and not state.last_event_t_us.any()
 
 
 @pytest.mark.parametrize(
@@ -150,8 +163,6 @@ def test_resume_mismatch_rejected(scene):
     other = IntensityConfig(Method.ADAPTIVE_BATCH, alpha_per_s=9.0, bin_duration_us=5000)
     with pytest.raises(ValueError):
         run_sequence(events, scene.geometry, seg, other, resume=state)
-    from evprep.errors import GeometryError
-
     with pytest.raises(GeometryError):
         run_sequence(events, SensorGeometry(8, 8), seg, cfg, resume=state)
 
