@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from evprep.events import SegmentConfig, SensorGeometry, build_histogram, segment_stream
+from evprep.events import SegmentConfig, SensorGeometry, build_histogram, make_events, segment_stream
 from evprep.intensity import IntensityConfig, Method, run_sequence
 
 
@@ -17,9 +17,8 @@ def bench_histogram(
     n = events.shape[0]
     if n == 0:
         return 0.0
-    num_segments = int(events["t"][-1]) // seg_config.segment_duration_us + 1
     start = time.perf_counter()
-    segments, _ = segment_stream(events, geometry, seg_config, num_segments)
+    segments, _ = segment_stream(events, geometry, seg_config)
     for seg in segments:
         build_histogram(seg, geometry, seg_config)
     return n / (time.perf_counter() - start)
@@ -44,8 +43,6 @@ def synthetic_events(
     n: int, geometry: SensorGeometry, duration_us: int, seed: int = 0
 ) -> np.ndarray:
     """Uniform random sorted stream for benchmarking."""
-    from evprep.events import make_events
-
     rng = np.random.default_rng(seed)
     t = np.sort(rng.integers(0, duration_us, size=n))
     return make_events(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from evprep.errors import GeometryError, StreamOrderError
+from evprep.errors import FormatError, GeometryError, StreamOrderError
 
 # packed 13-byte record, identical to one EVT1 file record
 EVENT_DTYPE = np.dtype(
@@ -96,15 +96,12 @@ class StageHistogram:
 
 
 def validate_stream(events: np.ndarray, geometry: SensorGeometry) -> None:
-    """Reject unsorted streams and out-of-geometry coordinates."""
+    """Reject unsorted streams, out-of-geometry coordinates and polarities not in {-1, +1}."""
     t = events["t"]
-    if t.shape[0] > 1:
-        inv = np.nonzero(t[1:] < t[:-1])[0]
-        if inv.size:
-            raise StreamOrderError(int(inv[0]) + 1)
-    bad = np.nonzero(
-        (events["x"] >= geometry.width) | (events["y"] >= geometry.height)
-    )[0]
+    inv = np.flatnonzero(t[1:] < t[:-1])
+    if inv.size:
+        raise StreamOrderError(int(inv[0]) + 1)
+    bad = np.flatnonzero((events["x"] >= geometry.width) | (events["y"] >= geometry.height))
     if bad.size:
         j = int(bad[0])
         e = events[j]
@@ -112,27 +109,35 @@ def validate_stream(events: np.ndarray, geometry: SensorGeometry) -> None:
             f"event {j} at ({int(e['x'])}, {int(e['y'])}) outside "
             f"{geometry.width}x{geometry.height} sensor"
         )
+    p = events["p"]
+    bad = np.flatnonzero((p != 1) & (p != -1))
+    if bad.size:
+        raise FormatError(f"event {bad[0]} has polarity {p[bad[0]]}, not -1 or +1")
 
 
 def segment_stream(
     events: np.ndarray,
     geometry: SensorGeometry,
     config: SegmentConfig,
-    num_segments: int,
+    num_segments: int | None = None,
     first_index: int = 1,
 ) -> tuple[list[EventSegment], int]:
     """Validate a stream and partition it into ``num_segments`` half-open
     windows, numbered from ``first_index``.
 
-    Returns the segments covering [(first_index-1)*T, (first_index-1+M)*T)
-    and the count of dropped events: those outside that window.
+    Returns the M segments covering [(first_index-1)*T, (first_index-1+M)*T)
+    and the count of dropped events: those outside that window. M defaults
+    to running through the last event, with at least one segment.
     """
-    if num_segments < 1:
-        raise ValueError("num_segments must be >= 1")
     if first_index < 1:
         raise ValueError("first_index must be >= 1")
     validate_stream(events, geometry)
-    T = np.uint64(config.segment_duration_us)
+    T = config.segment_duration_us
+    if num_segments is None:
+        t_end = int(events["t"][-1]) if events.shape[0] else 0
+        num_segments = max(1, t_end // T + 2 - first_index)
+    if num_segments < 1:
+        raise ValueError("num_segments must be >= 1")
     boundaries = np.arange(first_index - 1, first_index + num_segments, dtype=np.uint64) * T
     splits = np.searchsorted(events["t"], boundaries, side="left")
     segments = [

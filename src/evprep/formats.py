@@ -3,13 +3,14 @@ PGM previews, text event lists, and resumable estimator state."""
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from evprep.errors import FormatError
-from evprep.events import EVENT_DTYPE, SensorGeometry, make_events
+from evprep.events import EVENT_DTYPE, SensorGeometry, make_events, validate_stream
 from evprep.intensity import IntensityConfig, IntensityState, Method
 
 EVT1_MAGIC = b"EVT1"
@@ -32,20 +33,22 @@ def write_evt1(path, events: np.ndarray, geometry: SensorGeometry) -> None:
 
 
 def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _EVT1_HEADER.size:
-        raise FormatError(f"{path}: truncated EVT1 header")
-    magic, width, height, _, _hint = _EVT1_HEADER.unpack_from(raw)
-    if magic != EVT1_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected EVT1")
-    body = raw[_EVT1_HEADER.size :]
-    if len(body) % EVENT_DTYPE.itemsize:
-        raise FormatError(f"{path}: event payload not a whole number of records")
-    events = np.frombuffer(body, dtype=EVENT_DTYPE).copy()
-    bad = np.nonzero(~np.isin(events["p"], (-1, 1)))[0]
-    if bad.size:
-        raise FormatError(f"{path}: record {int(bad[0])} has polarity {int(events['p'][bad[0]])}")
-    return events, SensorGeometry(width, height)
+    """Read and validate an EVT1 file, holding the records in memory once."""
+    with open(path, "rb") as fh:
+        header = fh.read(_EVT1_HEADER.size)
+        if len(header) < _EVT1_HEADER.size:
+            raise FormatError(f"{path}: truncated EVT1 header")
+        magic, width, height, _, _hint = _EVT1_HEADER.unpack(header)
+        if magic != EVT1_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected EVT1")
+        payload = os.fstat(fh.fileno()).st_size - _EVT1_HEADER.size
+        count, rest = divmod(payload, EVENT_DTYPE.itemsize)
+        if rest:
+            raise FormatError(f"{path}: event payload not a whole number of records")
+        events = np.fromfile(fh, dtype=EVENT_DTYPE, count=count)
+    geometry = SensorGeometry(width, height)
+    validate_stream(events, geometry)
+    return events, geometry
 
 
 def read_text_events(path) -> np.ndarray:
@@ -125,7 +128,6 @@ def save_state(path, state: IntensityState) -> None:
         frame=state.frame,
         last_update_time_us=np.int64(state.last_update_time_us),
         last_event_t_us=state.last_event_t_us,
-        segments_done=np.int64(state.segments_done),
         width=np.int64(state.geometry.width),
         height=np.int64(state.geometry.height),
         method=np.bytes_(state.config.method.value.encode()),
@@ -137,7 +139,8 @@ def save_state(path, state: IntensityState) -> None:
 
 
 def load_state(path) -> IntensityState:
-    """Read a ``save_state`` file; a missing or malformed array is a FormatError."""
+    """Read a ``save_state`` file, ignoring extra arrays; a missing or
+    malformed one is a FormatError."""
     try:
         data = np.load(path)
         config = IntensityConfig(
@@ -153,7 +156,6 @@ def load_state(path) -> IntensityState:
             config=config,
             geometry=SensorGeometry(int(data["width"]), int(data["height"])),
             last_event_t_us=data["last_event_t_us"],
-            segments_done=int(data["segments_done"]),
         )
     except Exception as exc:
         raise FormatError(f"{path}: cannot read state file: {exc}") from exc

@@ -58,7 +58,7 @@ class IntensityConfig:
 
 @dataclass
 class IntensityState:
-    """Resumable estimator state.
+    """Resumable estimator state; ``last_update_time_us`` is its clock.
 
     ``last_event_t_us`` holds the per-pixel last-event timestamps needed
     by the per-event decay rule; it stays all-zero under the batch rule.
@@ -69,7 +69,6 @@ class IntensityState:
     config: IntensityConfig
     geometry: SensorGeometry
     last_event_t_us: np.ndarray
-    segments_done: int = 0
 
     @classmethod
     def initial(cls, geometry: SensorGeometry, config: IntensityConfig) -> "IntensityState":
@@ -210,9 +209,10 @@ def run_sequence(
 ) -> tuple[IntensityState, list[np.ndarray]]:
     """Drive the configured estimator over whole segments.
 
-    Emits one float32 frame snapshot per segment boundary. Passing the
-    returned state back as ``resume`` continues seamlessly: a split run
-    is bit-identical to a single combined run.
+    Emits one float32 frame snapshot per segment and sets the clock to each
+    segment's end. A ``resume`` state continues with the segment starting
+    at its clock, which must be a multiple of T, whichever T saved it: a
+    split run is bit-identical to a single combined run.
     """
     if resume is not None:
         if resume.geometry != geometry:
@@ -228,11 +228,13 @@ def run_sequence(
         raise ValueError(
             "adaptive bin duration must equal the segment config's T/B"
         )
-    first_index = state.segments_done + 1
     T = seg_config.segment_duration_us
-    if num_segments is None:
-        t_end = int(events["t"][-1]) if events.shape[0] else -1
-        num_segments = max(1, -(-(t_end + 1 - (first_index - 1) * T) // T))
+    if state.last_update_time_us % T:
+        raise ValueError(
+            f"state clock {state.last_update_time_us}us is not a multiple of "
+            f"the segment duration {T}us"
+        )
+    first_index = state.last_update_time_us // T + 1
     segments, _ = segment_stream(events, geometry, seg_config, num_segments, first_index)
     frames = []
     for seg in segments:
@@ -240,6 +242,6 @@ def run_sequence(
             update_per_event(state, seg.events)
         else:
             _update_adaptive_segment(state, seg, seg_config)
-        state.segments_done = seg.index
+        state.last_update_time_us = seg.index * T
         frames.append(state.frame.astype(np.float32))
     return state, frames

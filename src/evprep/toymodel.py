@@ -97,14 +97,6 @@ def _unpatchify(patches: np.ndarray, H: int, W: int, P: int) -> np.ndarray:
     return frame[:H, :W]
 
 
-def _frame_grad_to_patches(dframe: np.ndarray, P: int) -> np.ndarray:
-    H, W = dframe.shape
-    gh, gw = -(-H // P), -(-W // P)
-    padded = np.zeros((gh * P, gw * P), dtype=np.float64)
-    padded[:H, :W] = dframe
-    return padded.reshape(gh, P, gw, P).transpose(0, 2, 1, 3).reshape(gh * gw, P * P)
-
-
 def _stage_core(state: ToyModelState, masked_input: np.ndarray):
     cfg = state.config
     P = cfg.patch_size
@@ -186,7 +178,7 @@ def backward_sequence(
         dframe[pix] = 2.0 * (predictions[i][pix] - norm_targets[i][pix]) / (
             M * n_masked_pix
         )
-        dpred = _frame_grad_to_patches(dframe, P)
+        dpred = _patchify(dframe[None], P)
         dh = dpred @ p["decode"].T
         if cfg.recurrent and dc_next is not None:
             dh = dh + dc_next

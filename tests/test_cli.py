@@ -189,6 +189,37 @@ def test_resume_split_equals_single(evt1, tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("method", ["decay", "adaptive"])
+def test_resume_at_other_segment_duration(evt1, tmp_path, capsys, method):
+    # 5 ms bins throughout: 10 ms segments of 2 bins, then 20 ms of 4
+    def run(name, segment_ms, bins, *flags):
+        out = tmp_path / f"{name}.intf"
+        argv = ["intensity", str(evt1), "-o", str(out), "--method", method,
+                "--segment-ms", segment_ms, "--bins", bins, *flags]
+        return main(argv), out
+
+    _, single = run("single", "10", "2", "--segments", "10")
+    for segments in ("3", "4"):
+        state = tmp_path / f"after{segments}.npz"
+        assert run(f"first{segments}", "10", "2", "--segments", segments,
+                   "--save-state", str(state))[0] == 0
+        with np.load(state) as data:
+            assert int(data["last_update_time_us"]) == int(segments) * 10_000
+
+    # 40 ms is the start of the third 20 ms segment; the disc scene's last
+    # event is at 99 ms, so the resumed run ends at 100 ms
+    code, out = run("resumed", "20", "4", "--resume", str(tmp_path / "after4.npz"))
+    assert code == 0
+    frames = read_intf(single)[0]
+    assert [f.tobytes() for f in read_intf(out)[0]] == [frames[k].tobytes() for k in (5, 7, 9)]
+
+    capsys.readouterr()
+    code, out = run("rejected", "20", "4", "--resume", str(tmp_path / "after3.npz"))
+    assert code == 2
+    assert "clock 30000us" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pgm_previews(evt1, tmp_path):
     out = tmp_path / "frames.intf"
     pgm_dir = tmp_path / "previews"
@@ -265,7 +296,7 @@ def test_bench_reports_rates(evt1, capsys):
         ("adaptive", "frame", np.zeros((3, 3))),
         ("adaptive", "frame", np.zeros((8, 8), dtype=np.int64)),
         ("decay", "last_event_t_us", np.zeros((2, 2), dtype=np.int64)),
-        ("decay", "segments_done", None),
+        ("decay", "last_update_time_us", None),
     ],
 )
 def test_resume_bad_state_exit_2(tmp_path, capsys, method, name, value):

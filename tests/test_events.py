@@ -12,8 +12,8 @@ from evprep import (
     segment_stream,
     signed_bin_accumulation,
 )
-from evprep.errors import GeometryError, StreamOrderError
-from evprep.events import EventSegment, make_events
+from evprep.errors import FormatError, GeometryError, StreamOrderError
+from evprep.events import EventSegment, make_events, validate_stream
 
 GEO = SensorGeometry(16, 12)
 CFG = SegmentConfig(50_000, 10)
@@ -69,6 +69,43 @@ def test_out_of_geometry_rejected():
     ev = make_events([5], [GEO.width], [0], [1])
     with pytest.raises(GeometryError, match=r"\(16, 0\)"):
         segment_stream(ev, GEO, CFG, 1)
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [([1, 0, 2, -5], "event 1 has polarity 0"), ([1, -1, -5], "event 2 has polarity -5"),
+     ([2], "event 0 has polarity 2"), ([-1, -128], "event 1 has polarity -128")],
+)
+def test_bad_polarity_rejected_with_index_and_value(p, message):
+    # such events used to be counted by sign in the histogram, and added
+    # with their value to the adaptive frame
+    n = len(p)
+    ev = make_events(range(n), [0] * n, [0] * n, p)
+    with pytest.raises(FormatError, match=message):
+        validate_stream(ev, GEO)
+    with pytest.raises(FormatError, match=message):
+        build_histogram(EventSegment(1, ev), GEO, CFG)
+
+
+@pytest.mark.parametrize(
+    "times, first_index, expected",
+    [
+        ([], 1, [1]),
+        ([], 4, [4]),
+        ([0], 1, [1]),
+        ([49_999], 1, [1]),
+        ([50_000], 1, [1, 2]),
+        ([10, 120_000], 1, [1, 2, 3]),
+        ([10, 120_000], 2, [2, 3]),
+        ([10, 120_000], 3, [3]),
+        ([10, 120_000], 5, [5]),
+    ],
+)
+def test_default_segments_run_through_last_event(times, first_index, expected):
+    n = len(times)
+    ev = make_events(times, [0] * n, [0] * n, [1] * n)
+    segs, _ = segment_stream(ev, GEO, CFG, first_index=first_index)
+    assert [s.index for s in segs] == expected
 
 
 def test_single_event_bin_zero():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evprep import IntensityConfig, IntensityState, Method, SensorGeometry
-from evprep.errors import FormatError
+from evprep.errors import FormatError, GeometryError, StreamOrderError
 from evprep.events import EVENT_DTYPE, make_events
 from evprep.formats import (
     load_state,
@@ -138,15 +138,13 @@ def test_state_roundtrip(tmp_path, rng):
     state = IntensityState.initial(GEO, cfg)
     state.frame[:] = rng.normal(size=state.frame.shape)
     state.last_event_t_us[:] = rng.integers(0, 1000, state.frame.shape)
-    state.last_update_time_us = 12345
-    state.segments_done = 3
+    state.last_update_time_us = 150_000
     path = tmp_path / "state.npz"
     save_state(path, state)
     back = load_state(path)
     assert back.config == cfg
     assert back.geometry == GEO
-    assert back.last_update_time_us == 12345
-    assert back.segments_done == 3
+    assert back.last_update_time_us == 150_000
     assert np.array_equal(back.frame, state.frame)
     assert np.array_equal(back.last_event_t_us, state.last_event_t_us)
 
@@ -167,11 +165,31 @@ def saved_state_arrays(tmp_path):
         return {key: data[key] for key in data.files}
 
 
+def test_state_from_older_version_loads(tmp_path):
+    # older versions also saved a segment count; the clock replaces it
+    arrays = saved_state_arrays(tmp_path)
+    assert "segments_done" not in arrays
+    arrays["segments_done"] = np.int64(3)
+    path = tmp_path / "old.npz"
+    np.savez(path, **arrays)
+    assert load_state(path).last_update_time_us == 0
+
+
+def test_evt1_records_validated(tmp_path):
+    path = tmp_path / "unsorted.evt1"
+    write_evt1(path, make_events([5, 3], [0, 0], [0, 0], [1, 1]), GEO)
+    with pytest.raises(StreamOrderError):
+        read_evt1(path)
+    write_evt1(path, make_events([1], [GEO.width], [0], [1]), GEO)
+    with pytest.raises(GeometryError):
+        read_evt1(path)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
         ("frame", None),
-        ("segments_done", None),
+        ("last_update_time_us", None),
         ("frame", np.zeros((3, 3))),
         ("frame", np.zeros((2, 3), dtype=np.int64)),
         ("frame", np.zeros(6)),

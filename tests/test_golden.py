@@ -1,0 +1,106 @@
+"""Golden set: sha256 digests of the bytes the pipeline produces for the two
+noise-free scene files.
+
+Pinned: the INTF file of both estimators, run once and run split after
+segment 3 and resumed; the TUBE mask blob; and the flattened, masked
+histograms of every segment. A refactor must leave each digest unchanged.
+State files are not pinned: their key set is not part of the contract.
+
+The simulator's float math may round differently under another numpy, so
+the digests hold only for the numpy version they were recorded with.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from evprep import (
+    IntensityConfig,
+    Method,
+    PatchGrid,
+    SegmentConfig,
+    apply_mask,
+    build_histogram,
+    flatten_histogram,
+    run_sequence,
+    sample_tube_mask,
+    segment_stream,
+    simulate_events,
+)
+from evprep.formats import write_intf
+from evprep.masking import serialize_mask
+from evprep.scenefile import load_scene
+
+NUMPY_VERSION = "2.4.6"
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+SEG = SegmentConfig(10_000, 5)
+SPLIT = 3
+# scene duration / T: stop_motion's last 5 segments are silent
+SEGMENTS = {"disc": 10, "stop_motion": 12}
+
+GOLDEN = {
+    "disc": {
+        "decay": "39e6742504bef7706ae855157e33af52105307d1f8802ef736fff018a9031cdf",
+        "adaptive": "eeea171735875b619ed37f51bcd4c3201ff9008370ea6dd57e9241a86f046458",
+        "masked_histograms": "cc1e00f243fc8cdfc585c038097e9516d0bf2c357d32726cc2419ed79958f9c2",
+    },
+    "stop_motion": {
+        "decay": "d7fe8804fb53bed9c2cd8fa0e4c50a912808f14bdcd43e6feb966226e6a8df15",
+        "adaptive": "bf75446ed16f81b42070b5bd9f5eced3c0cfb1622aa0fb82ac3b960644b3bf71",
+        "masked_histograms": "709e64a1f88091235f6413fcb59f36760c318e8b9532c59263bb339c4fde2f87",
+    },
+}
+# both scenes are 32x16, so they share the 4x2 patch grid and its mask
+TUBE = "d3209274c39d05f9c9d7e6a2d4d3264badafaae0a698bca78c2d6272aaf25db2"
+
+pytestmark = pytest.mark.skipif(
+    np.__version__ != NUMPY_VERSION,
+    reason=f"golden digests were recorded with numpy {NUMPY_VERSION}, this is {np.__version__}",
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def scene_events(name):
+    scene, _ = load_scene(SCENES / f"{name}.scene")
+    return scene.geometry, simulate_events(scene)
+
+
+def intf_digest(tmp_path, frames, geometry) -> str:
+    path = tmp_path / "frames.intf"
+    write_intf(path, frames, geometry)
+    return sha256(path.read_bytes())
+
+
+@pytest.mark.parametrize("method", ["decay", "adaptive"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_intensity_single_and_split(tmp_path, name, method):
+    geometry, events = scene_events(name)
+    config = IntensityConfig(Method(method), bin_duration_us=SEG.bin_duration_us)
+    M = SEGMENTS[name]
+    _, single = run_sequence(events, geometry, SEG, config, num_segments=M)
+    state, head = run_sequence(events, geometry, SEG, config, num_segments=SPLIT)
+    _, tail = run_sequence(events, geometry, SEG, config, resume=state, num_segments=M - SPLIT)
+    assert intf_digest(tmp_path, single, geometry) == GOLDEN[name][method]
+    assert intf_digest(tmp_path, head + tail, geometry) == GOLDEN[name][method]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_tube_and_masked_histograms(name):
+    geometry, events = scene_events(name)
+    grid = PatchGrid(8, geometry.height, geometry.width)
+    mask = sample_tube_mask(grid, 0.5, seed=7)
+    segments, dropped = segment_stream(events, geometry, SEG, SEGMENTS[name])
+    assert dropped == 0
+    masked = b"".join(
+        apply_mask(
+            flatten_histogram(build_histogram(seg, geometry, SEG, clip_max=10)), mask, grid
+        ).tobytes()
+        for seg in segments
+    )
+    assert sha256(serialize_mask(mask)) == TUBE
+    assert sha256(masked) == GOLDEN[name]["masked_histograms"]

@@ -155,6 +155,41 @@ def test_split_run_matches_single_run(scene, method):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("method", [Method.PER_EVENT_DECAY, Method.ADAPTIVE_BATCH])
+def test_resume_at_double_segment_duration(scene, method):
+    # a run of 4 segments of 10 ms leaves the clock at 40 ms, the start of
+    # the third 20 ms segment; 5 ms bins in both runs
+    events = simulate_events(scene)
+    geo = scene.geometry
+    short, long = SegmentConfig(10_000, 2), SegmentConfig(20_000, 4)
+    cfg = IntensityConfig(method, bin_duration_us=5000)
+    _, single = run_sequence(events, geo, short, cfg, num_segments=10)
+
+    state, _ = run_sequence(events, geo, short, cfg, num_segments=4)
+    state, resumed = run_sequence(events, geo, long, cfg, resume=state)
+    assert [f.tobytes() for f in resumed] == [single[k].tobytes() for k in (5, 7, 9)]
+    assert state.last_update_time_us == 100_000
+
+    # after 3 segments the clock, 30 ms, is no 20 ms segment boundary
+    state, _ = run_sequence(events, geo, short, cfg, num_segments=3)
+    with pytest.raises(ValueError, match="clock 30000us .* segment duration 20000us"):
+        run_sequence(events, geo, long, cfg, resume=state)
+
+
+@pytest.mark.parametrize("method", [Method.PER_EVENT_DECAY, Method.ADAPTIVE_BATCH])
+def test_clock_ends_at_last_segment(scene, method):
+    # the last event of the disc scene is at 99 ms: the decay rule alone
+    # would leave the clock there
+    events = simulate_events(scene)
+    seg = SegmentConfig(20_000, 4)
+    cfg = IntensityConfig(method, bin_duration_us=seg.bin_duration_us)
+    state, _ = run_sequence(events, scene.geometry, seg, cfg, num_segments=7)
+    assert state.last_update_time_us == 7 * 20_000
+    state, frames = run_sequence(events, scene.geometry, seg, cfg)
+    assert len(frames) == 5
+    assert state.last_update_time_us == 5 * 20_000
+
+
 def test_resume_mismatch_rejected(scene):
     events = simulate_events(scene)
     seg = SegmentConfig(20_000, 4)
@@ -230,7 +265,6 @@ def adaptive_oracle(events, geo, seg, cfg, num_segments):
         for tau in range(seg.bins_per_segment):
             signed = signed_bin_accumulation(hist, tau)
             update_adaptive_batch(state, signed, int(hist.counts[:, tau].sum()))
-        state.segments_done = k
         frames.append(state.frame.astype(np.float32))
     return state, frames
 
@@ -286,4 +320,4 @@ def test_adaptive_matches_histogram_oracle(run):
     assert [f.tobytes() for f in frames] == [f.tobytes() for f in ref_frames]
     assert state.frame.tobytes() == ref_state.frame.tobytes()
     assert state.last_update_time_us == ref_state.last_update_time_us
-    assert state.segments_done == num_segments
+    assert state.last_update_time_us == num_segments * seg.segment_duration_us
