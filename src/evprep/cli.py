@@ -67,6 +67,7 @@ _finite_float = _number(float, lambda v: True, "a finite number")
 _non_negative_float = _number(float, lambda v: v >= 0, "a finite number >= 0")
 _positive_float = _number(float, lambda v: v > 0, "a finite number > 0")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_fraction = _number(float, lambda v: 0 <= v <= 1, "a finite number in [0, 1]")
 
 
 def _geometry(text: str) -> SensorGeometry:
@@ -269,11 +270,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain-toy", help="train the toy masked autoencoder")
     p.add_argument("scene")
     p.add_argument("-o", "--output", required=True, help="loss curve file")
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--patch", type=int, default=8)
-    p.add_argument("--embed", type=int, default=16)
-    p.add_argument("--ratio", type=float, default=0.5)
+    p.add_argument("--patch", type=_positive_int, default=8)
+    p.add_argument("--embed", type=_positive_int, default=16)
+    p.add_argument("--ratio", type=_fraction, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--feedforward", action="store_true", help="disable recurrence")
     _add_segment_flags(p)

@@ -179,8 +179,11 @@ def build_histogram(
     ``bin_edges``.
 
     Raises StreamOrderError or GeometryError for an unsorted or
-    out-of-geometry segment, ValueError for events outside its window.
+    out-of-geometry segment, ValueError for events outside its window or
+    a negative ``clip_max``.
     """
+    if clip_max is not None and not clip_max >= 0:
+        raise ValueError(f"clip_max must be >= 0, got {clip_max}")
     B, H, W = config.bins_per_segment, geometry.height, geometry.width
     ev = segment.events
     validate_stream(ev, geometry)
@@ -196,11 +199,14 @@ def flatten_histogram(hist: StageHistogram) -> np.ndarray:
     Channel k = polarity_index * B + bin. Saturates at ``clip_max`` when
     set, then casts to float32.
     """
-    counts = hist.counts
-    if hist.clip_max is not None:
-        counts = np.minimum(counts, hist.clip_max)
-    two, B, H, W = counts.shape
-    return counts.reshape(two * B, H, W).astype(np.float32)
+    two, B, H, W = hist.counts.shape
+    counts = hist.counts.reshape(two * B, H, W)
+    if hist.clip_max is None:
+        return counts.astype(np.float32)
+    # numpy runs the int64 loop and casts each buffered chunk into the float32
+    # output: the values of clip-then-cast without a full-size int64 temporary
+    out = np.empty(counts.shape, dtype=np.float32)
+    return np.minimum(counts, hist.clip_max, out=out, casting="unsafe")
 
 
 def signed_bin_accumulation(hist: StageHistogram, tau: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -71,7 +72,15 @@ class TubeMask:
         return int(self.masked.sum())
 
     def pixel_mask(self, grid: PatchGrid) -> np.ndarray:
-        """Expand the patch mask to a boolean (H, W) pixel mask."""
+        """Expand the patch mask to a boolean (H, W) pixel mask.
+
+        Raises GeometryError when the mask was sampled on another patch grid.
+        """
+        if self.masked.shape != (grid.grid_h, grid.grid_w):
+            raise GeometryError(
+                f"mask of {self.masked.shape[0]}x{self.masked.shape[1]} patches does not "
+                f"match the {grid.grid_h}x{grid.grid_w} patch grid"
+            )
         full = np.repeat(
             np.repeat(self.masked, grid.patch_size, axis=0), grid.patch_size, axis=1
         )
@@ -101,10 +110,9 @@ def apply_mask(tensor: np.ndarray, mask: TubeMask, grid: PatchGrid) -> np.ndarra
             f"tensor shape {tensor.shape} does not match {grid.height}x{grid.width} grid"
         )
     pix = mask.pixel_mask(grid)
-    out = np.empty((tensor.shape[0] + 1,) + tensor.shape[1:], dtype=tensor.dtype)
-    out[:-1] = tensor
-    out[:-1][:, pix] = 0
-    out[-1] = pix.astype(tensor.dtype)
+    out = np.zeros((tensor.shape[0] + 1,) + tensor.shape[1:], dtype=tensor.dtype)
+    np.copyto(out[:-1], tensor, where=~pix)
+    out[-1] = pix
     return out
 
 
@@ -114,17 +122,33 @@ def normalize_patches(
     """Standardize each patch with its own mean and variance.
 
     Edge patches that extend past the frame use only their real pixels.
+    Full patches are standardized together as the rows of a contiguous
+    (rows, cols, P*P) copy, with the bytes each would get on its own:
+    numpy sums a strided P x P view of a row-major frame by copying it,
+    row by row, into one buffer and summing that pairwise, as it sums a
+    contiguous row. Patches larger than the buffer (``np.getbufsize()``
+    elements) and frames not stored row-major take a per-patch loop.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if target.shape != (grid.height, grid.width):
         raise GeometryError(
             f"target shape {target.shape} does not match grid "
             f"{grid.height}x{grid.width}"
         )
+    P = grid.patch_size
+    vectorized = target.strides[0] >= target.strides[1] > 0 and P * P <= np.getbufsize()
+    rows, cols = (grid.height // P, grid.width // P) if vectorized else (0, 0)
     out = np.empty_like(target, dtype=np.float64)
+    full = target[: rows * P, : cols * P].reshape(rows, P, cols, P).swapaxes(1, 2)
+    full = full.reshape(rows, cols, P * P)
+    mean = full.mean(axis=-1, keepdims=True)
+    std = np.sqrt(full.var(axis=-1, keepdims=True) + epsilon)
+    out[: rows * P, : cols * P] = (
+        ((full - mean) / std).reshape(rows, cols, P, P).swapaxes(1, 2).reshape(rows * P, cols * P)
+    )
     for row in range(grid.grid_h):
-        for col in range(grid.grid_w):
+        for col in range(cols if row < rows else 0, grid.grid_w):
             sl = grid.patch_slices(row, col)
             patch = target[sl]
             out[sl] = (patch - patch.mean()) / np.sqrt(patch.var() + epsilon)

@@ -103,6 +103,11 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
         ("pretrain-toy", "--bins", "3"),
         ("pretrain-toy", "--normalizer", "0"),
         ("pretrain-toy", "--alpha", "-1"),
+        ("pretrain-toy", "--patch", "0"),
+        ("pretrain-toy", "--ratio", "1.5"),
+        ("pretrain-toy", "--ratio", "nan"),
+        ("pretrain-toy", "--steps", "0"),
+        ("pretrain-toy", "--embed", "0"),
         ("bench", "--segment-ms", "0"),
         ("bench", "--segment-ms", "0.0004"),
         ("bench", "--bins", "3"),

@@ -191,6 +191,12 @@ def test_flatten_clips_but_counts_stay_raw():
     assert flatten_histogram(hist)[CFG.bins_per_segment, 1, 1] == 10.0
 
 
+def test_negative_clip_max_rejected():
+    ev = make_events([0], [1], [1], [1])
+    with pytest.raises(ValueError, match="clip_max"):
+        build_histogram(EventSegment(1, ev), GEO, CFG, clip_max=-1)
+
+
 def test_flatten_all_zero():
     hist = build_histogram(EventSegment(1, make_events([], [], [], [])), GEO, CFG)
     assert not flatten_histogram(hist).any()

@@ -2,8 +2,10 @@
 noise-free scene files.
 
 Pinned: the INTF file of both estimators, run once and run split after
-segment 3 and resumed; the TUBE mask blob; and the flattened, masked
-histograms of every segment. A refactor must leave each digest unchanged.
+segment 3 and resumed; the TUBE mask blob; the flattened, masked
+histograms of every segment; and the patch-normalized adaptive frames.
+Patch sizes 8 and 5 give a 4x2 grid of full patches and a 7x4 grid with
+ragged bottom and right edges. A refactor must leave each digest unchanged.
 State files are not pinned: their key set is not part of the contract.
 
 The simulator's float math may round differently under another numpy, so
@@ -24,6 +26,7 @@ from evprep import (
     apply_mask,
     build_histogram,
     flatten_histogram,
+    normalize_patches,
     run_sequence,
     sample_tube_mask,
     segment_stream,
@@ -37,6 +40,7 @@ NUMPY_VERSION = "2.4.6"
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 SEG = SegmentConfig(10_000, 5)
 SPLIT = 3
+PATCHES = (8, 5)
 # scene duration / T: stop_motion's last 5 segments are silent
 SEGMENTS = {"disc": 10, "stop_motion": 12}
 
@@ -44,16 +48,25 @@ GOLDEN = {
     "disc": {
         "decay": "39e6742504bef7706ae855157e33af52105307d1f8802ef736fff018a9031cdf",
         "adaptive": "eeea171735875b619ed37f51bcd4c3201ff9008370ea6dd57e9241a86f046458",
-        "masked_histograms": "cc1e00f243fc8cdfc585c038097e9516d0bf2c357d32726cc2419ed79958f9c2",
+        "masked_histograms_p8": "cc1e00f243fc8cdfc585c038097e9516d0bf2c357d32726cc2419ed79958f9c2",
+        "masked_histograms_p5": "1a57cd5c332583230954cbb18c928c8ae12af79513da4562fa0fa5dbc6dcb08d",
+        "targets_p8": "ff7b416c1d1566a4b0a0c4fbc836cfc2603c79d2ce9bf83ebf737e6c1bf6f221",
+        "targets_p5": "6881484de04e56988d593fd4a4bc7d24bf6f6eaeb1aaaf570e0b9b021af60643",
     },
     "stop_motion": {
         "decay": "d7fe8804fb53bed9c2cd8fa0e4c50a912808f14bdcd43e6feb966226e6a8df15",
         "adaptive": "bf75446ed16f81b42070b5bd9f5eced3c0cfb1622aa0fb82ac3b960644b3bf71",
-        "masked_histograms": "709e64a1f88091235f6413fcb59f36760c318e8b9532c59263bb339c4fde2f87",
+        "masked_histograms_p8": "709e64a1f88091235f6413fcb59f36760c318e8b9532c59263bb339c4fde2f87",
+        "masked_histograms_p5": "1eccf93b3de22ba4ef3ef5ccf1e2d0cd3354f8abc2c3018273cf2a52c92c3458",
+        "targets_p8": "4add3b69fafc2d478ae98b50113889a38aca0db698b7a35425671c6b66477c07",
+        "targets_p5": "079982d91a4c2e28df001ede70c87aae46d5d22ce550efb7a07470b2dbecfc21",
     },
 }
-# both scenes are 32x16, so they share the 4x2 patch grid and its mask
-TUBE = "d3209274c39d05f9c9d7e6a2d4d3264badafaae0a698bca78c2d6272aaf25db2"
+# both scenes are 32x16, so they share each patch grid and its mask
+TUBE = {
+    8: "d3209274c39d05f9c9d7e6a2d4d3264badafaae0a698bca78c2d6272aaf25db2",
+    5: "6fe0d566356f63e1dc32b808d653731b1d5f9be789c2721afc49a5c76243dcc9",
+}
 
 pytestmark = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,
@@ -92,15 +105,32 @@ def test_intensity_single_and_split(tmp_path, name, method):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_tube_and_masked_histograms(name):
     geometry, events = scene_events(name)
-    grid = PatchGrid(8, geometry.height, geometry.width)
-    mask = sample_tube_mask(grid, 0.5, seed=7)
     segments, dropped = segment_stream(events, geometry, SEG, SEGMENTS[name])
     assert dropped == 0
-    masked = b"".join(
-        apply_mask(
-            flatten_histogram(build_histogram(seg, geometry, SEG, clip_max=10)), mask, grid
-        ).tobytes()
-        for seg in segments
-    )
-    assert sha256(serialize_mask(mask)) == TUBE
-    assert sha256(masked) == GOLDEN[name]["masked_histograms"]
+    for patch in PATCHES:
+        grid = PatchGrid(patch, geometry.height, geometry.width)
+        mask = sample_tube_mask(grid, 0.5, seed=7)
+        masked = b"".join(
+            apply_mask(
+                flatten_histogram(build_histogram(seg, geometry, SEG, clip_max=10)), mask, grid
+            ).tobytes()
+            for seg in segments
+        )
+        assert sha256(serialize_mask(mask)) == TUBE[patch]
+        assert sha256(masked) == GOLDEN[name][f"masked_histograms_p{patch}"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_normalized_targets(name):
+    """Both the float32 frames of run_sequence and their float64 casts."""
+    geometry, events = scene_events(name)
+    config = IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=SEG.bin_duration_us)
+    _, frames = run_sequence(events, geometry, SEG, config, num_segments=SEGMENTS[name])
+    for patch in PATCHES:
+        grid = PatchGrid(patch, geometry.height, geometry.width)
+        targets = b"".join(
+            normalize_patches(frame.astype(dtype), grid).tobytes()
+            for dtype in (np.float32, np.float64)
+            for frame in frames
+        )
+        assert sha256(targets) == GOLDEN[name][f"targets_p{patch}"]

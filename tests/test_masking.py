@@ -72,6 +72,22 @@ def test_apply_shape_mismatch():
         apply_mask(np.zeros((3, 8, 8)), sample_tube_mask(GRID, 0.5, seed=0), GRID)
 
 
+def test_mask_from_another_grid_rejected():
+    """A P = 5 mask (4x7 patches) on the 2x4 patch grid of P = 8, 32x16."""
+    mask = sample_tube_mask(PatchGrid(5, 16, 32), 0.5, seed=0)
+    grid = PatchGrid(8, 16, 32)
+    with pytest.raises(GeometryError, match="4x7"):
+        mask.pixel_mask(grid)
+    with pytest.raises(GeometryError, match="2x4"):
+        apply_mask(np.zeros((3, 16, 32)), mask, grid)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_normalize_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        normalize_patches(np.ones((GRID.height, GRID.width)), GRID, epsilon=epsilon)
+
+
 def test_normalize_constant_patch_is_zero():
     target = np.full((GRID.height, GRID.width), 7.0)
     out = normalize_patches(target, GRID)
