@@ -271,7 +271,7 @@ def build_parser() -> _Parser:
     p.add_argument("scene")
     p.add_argument("-o", "--output", required=True, help="loss curve file")
     p.add_argument("--steps", type=_positive_int, default=200)
-    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--lr", type=_positive_float, default=0.5)
     p.add_argument("--patch", type=_positive_int, default=8)
     p.add_argument("--embed", type=_positive_int, default=16)
     p.add_argument("--ratio", type=_fraction, default=0.5)

@@ -144,9 +144,8 @@ def normalize_patches(
     full = full.reshape(rows, cols, P * P)
     mean = full.mean(axis=-1, keepdims=True)
     std = np.sqrt(full.var(axis=-1, keepdims=True) + epsilon)
-    out[: rows * P, : cols * P] = (
-        ((full - mean) / std).reshape(rows, cols, P, P).swapaxes(1, 2).reshape(rows * P, cols * P)
-    )
+    blocks = out[: rows * P, : cols * P].reshape(rows, P, cols, P).swapaxes(1, 2)
+    np.divide((full - mean).reshape(blocks.shape), std[..., None], out=blocks)
     for row in range(grid.grid_h):
         for col in range(cols if row < rows else 0, grid.grid_w):
             sl = grid.patch_slices(row, col)

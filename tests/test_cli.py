@@ -108,6 +108,7 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
         ("pretrain-toy", "--ratio", "nan"),
         ("pretrain-toy", "--steps", "0"),
         ("pretrain-toy", "--embed", "0"),
+        ("pretrain-toy", "--lr", "nan"),
         ("bench", "--segment-ms", "0"),
         ("bench", "--segment-ms", "0.0004"),
         ("bench", "--bins", "3"),
