@@ -25,6 +25,7 @@ from evprep.formats import (
 )
 from evprep.intensity import IntensityConfig, Method, run_sequence
 from evprep.losses import trail_energy
+from evprep.masking import PatchGrid
 from evprep.scenefile import load_scene
 from evprep.simulate import simulate_events, trail_region
 from evprep.toymodel import (
@@ -191,6 +192,9 @@ def cmd_report(args) -> int:
 
 def cmd_pretrain_toy(args) -> int:
     scene, _ = load_scene(args.scene)
+    grid = PatchGrid(args.patch, scene.geometry.height, scene.geometry.width)
+    if grid.masked_patches(args.ratio) == 0:
+        args.usage_error(f"--ratio {args.ratio:g} masks none of the {grid.num_patches} patches")
     seg_config, int_config = args.seg_config, _int_config(args)
     num_segments = args.segments or max(
         1, scene.duration_us // seg_config.segment_duration_us
@@ -281,7 +285,7 @@ def build_parser() -> _Parser:
     _add_estimator_flags(p)
     p.add_argument("--segments", type=_positive_int)
     p.add_argument("--params", help="write trained parameter blob here")
-    p.set_defaults(func=cmd_pretrain_toy, method=Method.ADAPTIVE_BATCH.value)
+    p.set_defaults(func=cmd_pretrain_toy, method=Method.ADAPTIVE_BATCH.value, usage_error=p.error)
 
     p = sub.add_parser("bench", help="kernel throughput report")
     p.add_argument("input", help="EVT1 file")

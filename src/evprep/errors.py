@@ -23,3 +23,7 @@ class GeometryError(EvprepError):
 
 class FormatError(EvprepError):
     """Raised on malformed input files (EVT1, INTF, TUBE, scene files)."""
+
+
+class TrainingDivergedError(EvprepError):
+    """Raised when toy training reaches a non-finite loss."""

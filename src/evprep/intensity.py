@@ -152,26 +152,27 @@ def update_per_event(state: IntensityState, events: np.ndarray) -> IntensityStat
     return state
 
 
+def _adaptive_decay(cfg: IntensityConfig, n: int) -> float:
+    """The batch rule's decay factor for a bin of ``n`` events."""
+    dt_s = cfg.bin_duration_us * 1e-6
+    return math.exp(-cfg.alpha_per_s * dt_s * n / cfg.normalizer)
+
+
 def update_adaptive_batch(
-    state: IntensityState, signed_bin: np.ndarray | None, n: int
+    state: IntensityState, signed_bin: np.ndarray, n: int
 ) -> IntensityState:
     """Apply one temporal bin of the globally-batched rule in place.
 
     ``n`` is the total unsigned event count over the whole frame in this
-    bin; ``signed_bin`` the per-pixel positive-minus-negative count, which
-    is not read when ``n`` is 0 and may then be None.
+    bin; ``signed_bin`` the (H, W) positive-minus-negative count, which is
+    not read when ``n`` is 0.
     """
     if n < 0:
         raise ValueError("event count must be >= 0")
     cfg = state.config
-    if n == 0:
-        # silent bin: the frame must stay bit-identical
-        state.last_update_time_us += cfg.bin_duration_us
-        return state
-    dt_s = cfg.bin_duration_us * 1e-6
-    decay = math.exp(-cfg.alpha_per_s * dt_s * n / cfg.normalizer)
-    np.multiply(state.frame, decay, out=state.frame)
-    state.frame += signed_bin * cfg.threshold
+    if n > 0:  # a silent bin leaves the frame bit-identical
+        np.multiply(state.frame, _adaptive_decay(cfg, n), out=state.frame)
+        state.frame += signed_bin * cfg.threshold
     state.last_update_time_us += cfg.bin_duration_us
     return state
 
@@ -182,21 +183,29 @@ def _update_adaptive_segment(
     """Apply every bin of one segment under the batch rule, in place.
 
     Bin tau is the slice of events between ``bin_edges`` tau and tau+1, as
-    in ``build_histogram``: its count is the slice length and its signed
-    image one polarity-weighted bincount, whose integer sums are exact in
-    float64, as ``signed_bin_accumulation``'s are.
+    in ``build_histogram``. A non-silent bin decays the whole frame and adds
+    its exact signed counts, one bincount over ``slot``, to its own pixels.
+    The rest would get ``0.0 * threshold``: that changes only a -0.0, the
+    same way at any later point, so it is added once per segment instead.
     """
-    events = segment.events
-    height, width = state.geometry.height, state.geometry.width
+    events, cfg = segment.events, state.config
+    state.frame = np.ascontiguousarray(state.frame)
+    flat = state.frame.reshape(-1)  # a view, as frame is C-contiguous
     edges = bin_edges(segment, config).tolist()
-    pix = events["y"].astype(np.intp) * width + events["x"]
+    pix = events["y"].astype(np.intp) * state.geometry.width + events["x"]
+    slot = np.empty(flat.shape[0], dtype=np.intp)  # each bin writes what it reads
     for lo, hi in zip(edges[:-1], edges[1:]):
-        signed = None
-        if hi > lo:
-            signed = np.bincount(
-                pix[lo:hi], weights=events["p"][lo:hi], minlength=height * width
-            ).reshape(height, width)
-        update_adaptive_batch(state, signed, hi - lo)
+        if hi == lo:
+            continue
+        b, index = pix[lo:hi], np.arange(hi - lo)
+        slot[b] = index
+        u = b[slot[b] == index]  # one event per pixel: the write that landed
+        slot[u] = np.arange(u.shape[0])
+        w = np.bincount(slot[b], weights=events["p"][lo:hi], minlength=u.shape[0])
+        np.multiply(state.frame, _adaptive_decay(cfg, hi - lo), out=state.frame)
+        flat[u] += w * cfg.threshold
+    if events.shape[0]:  # every event lies in a bin
+        np.add(state.frame, 0.0 * cfg.threshold, out=state.frame)
 
 
 def run_sequence(

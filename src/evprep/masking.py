@@ -50,6 +50,10 @@ class PatchGrid:
     def pad_w(self) -> int:
         return self.grid_w * self.patch_size - self.width
 
+    def masked_patches(self, ratio: float) -> int:
+        """Patches a tube mask of this ratio covers: round(ratio * K), halves up."""
+        return int(np.floor(ratio * self.num_patches + 0.5))
+
     def patch_slices(self, row: int, col: int) -> tuple[slice, slice]:
         """Pixel slices of one patch, clipped to the real (unpadded) frame."""
         P = self.patch_size
@@ -92,9 +96,8 @@ def sample_tube_mask(grid: PatchGrid, ratio: float, seed: int) -> TubeMask:
     if not 0.0 <= ratio <= 1.0:
         raise ValueError("ratio must be in [0, 1]")
     K = grid.num_patches
-    k = int(np.floor(ratio * K + 0.5))
     rng = np.random.default_rng(seed)
-    chosen = rng.permutation(K)[:k]
+    chosen = rng.permutation(K)[: grid.masked_patches(ratio)]
     masked = np.zeros(K, dtype=bool)
     masked[chosen] = True
     return TubeMask(masked=masked.reshape(grid.grid_h, grid.grid_w), ratio=ratio, rng_seed=seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from evprep.errors import FormatError, GeometryError
+from evprep.errors import FormatError, GeometryError, TrainingDivergedError
 from evprep.events import SegmentConfig, build_histogram, flatten_histogram, segment_stream
 from evprep.intensity import IntensityConfig, Method, run_sequence
 from evprep.losses import sequence_loss
@@ -283,7 +283,7 @@ def train_toy(
         masked_inputs = [apply_mask(x, mask, grid) for x in inputs]
         loss, grads = backward_sequence(state, masked_inputs, targets, mask, grid)
         if not np.isfinite(loss):
-            raise FloatingPointError(f"training diverged at step {step}")
+            raise TrainingDivergedError(f"training diverged at step {step}")
         curve.append(loss)
         for k in state.params:
             state.params[k] -= lr * grads[k]

@@ -106,6 +106,9 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
         ("pretrain-toy", "--patch", "0"),
         ("pretrain-toy", "--ratio", "1.5"),
         ("pretrain-toy", "--ratio", "nan"),
+        # round(ratio * 8) masks none of the 8 patches of the 32x16 scene
+        ("pretrain-toy", "--ratio", "0"),
+        ("pretrain-toy", "--ratio", "0.01"),
         ("pretrain-toy", "--steps", "0"),
         ("pretrain-toy", "--embed", "0"),
         ("pretrain-toy", "--lr", "nan"),
@@ -114,7 +117,13 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
         ("bench", "--bins", "3"),
     ],
 )
-def test_bad_flag_exit_1_other_commands(evt1, tmp_path, capsys, command, flag, value):
+def test_bad_flag_exit_1_other_commands(
+    evt1, tmp_path, capsys, monkeypatch, command, flag, value
+):
+    def no_simulation(*args):
+        raise AssertionError("a usage error must be found before simulating")
+
+    monkeypatch.setattr("evprep.toymodel.simulate_events", no_simulation)
     out = tmp_path / "curve.txt"
     if command == "pretrain-toy":
         argv = [command, str(SCENES / "disc.scene"), "-o", str(out), "--steps", "1"]
@@ -276,6 +285,17 @@ def test_pretrain_toy_smoke(tmp_path, capsys):
     lines = curve.read_text().splitlines()
     assert len(lines) == 5
     assert params.read_bytes()[:4] == b"TOYP"
+
+
+def test_pretrain_toy_diverged_exit_2(tmp_path, capsys):
+    curve = tmp_path / "curve.txt"
+    argv = ["pretrain-toy", str(SCENES / "disc.scene"), "-o", str(curve),
+            "--steps", "40", "--lr", "1e6"]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "evprep: error: training diverged at step" in err and "Traceback" not in err
+    assert not curve.exists()
 
 
 def test_bench_empty_file(tmp_path, capsys):

@@ -290,10 +290,15 @@ def adaptive_runs(draw):
         draw(st.lists(st.integers(0, geo.height - 1), min_size=n, max_size=n)),
         draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
     )
+    # alpha up to 1e12 lets a bin's decay underflow to exactly 0, which
+    # leaves -0.0 on negative pixels; signed-zero and subnormal thresholds
+    # decide whether the bin's zero adds turn it into +0.0
     cfg = IntensityConfig(
         Method.ADAPTIVE_BATCH,
-        alpha_per_s=draw(st.floats(0.0, 1e5)),
-        threshold=draw(st.floats(-10.0, 10.0)),
+        alpha_per_s=draw(st.one_of(st.floats(0.0, 1e5), st.floats(1e8, 1e12))),
+        threshold=draw(
+            st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1e-320, -1e-320]))
+        ),
         normalizer=draw(st.integers(1, 50)),
         bin_duration_us=bin_us,
     )
@@ -321,3 +326,30 @@ def test_adaptive_matches_histogram_oracle(run):
     assert state.frame.tobytes() == ref_state.frame.tobytes()
     assert state.last_update_time_us == ref_state.last_update_time_us
     assert state.last_update_time_us == num_segments * seg.segment_duration_us
+
+
+@pytest.mark.parametrize("threshold", [2.0, -2.0])
+def test_adaptive_signed_zero_matches_oracle(threshold):
+    # bin 0 leaves pixel (0, 0) at -2; bin 1 has one event at pixel (1, 0)
+    # and a decay of exactly 0, so pixel (0, 0) becomes -0.0, and the bin's
+    # zero add, 0.0 * threshold, makes it +0.0 only for a positive threshold
+    geo, seg = SensorGeometry(2, 1), SegmentConfig(10, 2)
+    cfg = adaptive_cfg(alpha_per_s=1e12, threshold=threshold, bin_duration_us=5)
+    events = make_events([1, 6], [0, 1], [0, 0], [-int(math.copysign(1, threshold)), 1])
+    ref_state, ref_frames = adaptive_oracle(events, geo, seg, cfg, 1)
+    state, frames = run_sequence(events, geo, seg, cfg)
+    assert state.frame[0, 0] == 0.0
+    assert np.signbit(state.frame[0, 0]) == (threshold < 0)
+    assert state.frame.tobytes() == ref_state.frame.tobytes()
+    assert frames[0].tobytes() == ref_frames[0].tobytes()
+
+
+def test_adaptive_resume_from_column_major_frame(scene):
+    events = simulate_events(scene)
+    seg = SegmentConfig(20_000, 4)
+    cfg = adaptive_cfg(bin_duration_us=5000)
+    _, single = run_sequence(events, scene.geometry, seg, cfg, num_segments=4)
+    state, _ = run_sequence(events, scene.geometry, seg, cfg, num_segments=2)
+    state.frame = np.asfortranarray(state.frame)
+    _, resumed = run_sequence(events, scene.geometry, seg, cfg, resume=state, num_segments=2)
+    assert [f.tobytes() for f in resumed] == [f.tobytes() for f in single[2:]]
