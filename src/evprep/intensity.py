@@ -82,17 +82,31 @@ class IntensityState:
         )
 
 
-def _per_event_decay_fill(state: IntensityState, t, pix, p) -> None:
+# The rank loop stops at the first rank where fewer than this many pixels
+# still have events; each of those pixels then finishes its own events in a
+# scalar loop. On a 2-vCPU Xeon (numpy 2.4, CPython 3.11), 200 000 events on
+# one pixel took 1.13 s as rank steps and 0.04 s as a scalar loop: one rank
+# step, two ufunc calls on short slices, costs as much as 30 to 40 scalar
+# events.
+_MIN_ACTIVE_PIXELS = 32
+
+
+def _per_event_decay_fill(state: IntensityState, events: np.ndarray) -> None:
     """Per-pixel rule ``f = exp(-alpha * dt) * f + p * threshold`` on
     ``state.frame`` and ``state.last_event_t_us``, in place.
 
-    ``pix`` is each event's flat pixel index y * W + x. Pixels are
+    ``events`` must be a non-empty, validated, sorted batch. Pixels are
     independent, so the k-th event of every pixel is applied in one
     vectorized step. Events are laid out rank-major with pixels ordered by
     descending event count, so the pixels still active at rank k are a
-    prefix of that order and the loop runs once per rank: as many times as
-    the busiest pixel has events. ``t`` must be sorted.
+    prefix of that order. Once fewer than ``_MIN_ACTIVE_PIXELS`` remain,
+    each of them runs its remaining events in a Python loop: CPython rounds
+    ``d * x + a`` as a multiply and then an add, with no fused
+    multiply-add, exactly as the two ufunc calls do, so both phases give
+    the same bits.
     """
+    t = events["t"].astype(np.int64)
+    pix = events["y"].astype(np.intp) * state.geometry.width + events["x"]
     n = t.shape[0]
     frame, last_t = state.frame, state.last_event_t_us
     alpha, threshold = state.config.alpha_per_s, state.config.threshold
@@ -111,7 +125,7 @@ def _per_event_decay_fill(state: IntensityState, t, pix, p) -> None:
     prev_t[first] = last_t[py, px]
     # same operation order as the scalar rule
     decay = np.exp(-alpha * ((t - prev_t) * 1e-6))
-    add = p[order] * threshold
+    add = events["p"][order] * threshold
 
     # slot of each pixel in descending-count order (pixels are independent,
     # so ties may go in any order), then each event's rank within its pixel
@@ -131,9 +145,20 @@ def _per_event_decay_fill(state: IntensityState, t, pix, p) -> None:
 
     cells = (py[by_count], px[by_count])
     f = frame[cells]
-    for lo, m in zip(offset.tolist(), active.tolist()):
+    k = int(np.count_nonzero(active >= _MIN_ACTIVE_PIXELS))  # active is non-increasing
+    for lo, m in zip(offset[:k].tolist(), active[:k].tolist()):
         np.multiply(decay_rm[lo : lo + m], f[:m], out=f[:m])
         np.add(f[:m], add_rm[lo : lo + m], out=f[:m])
+    if k < active.shape[0]:
+        # the pixels in slots 0 .. active[k]-1 have events from rank k on;
+        # in pixel order each one's events are a contiguous run
+        busy = by_count[: active[k]]
+        runs = zip((first[busy] + k).tolist(), (first[busy] + counts[busy]).tolist())
+        for s, (lo, hi) in enumerate(runs):
+            x = float(f[s])
+            for d, a in zip(decay[lo:hi].tolist(), add[lo:hi].tolist()):
+                x = d * x + a
+            f[s] = x
     frame[cells] = f
     last_t[py, px] = t[first + counts - 1]
 
@@ -143,12 +168,10 @@ def update_per_event(state: IntensityState, events: np.ndarray) -> IntensityStat
     if events.shape[0] == 0:
         return state
     validate_stream(events, state.geometry)
-    t = events["t"].astype(np.int64)
-    if t[0] < state.last_update_time_us:
+    if int(events["t"][0]) < state.last_update_time_us:
         raise StreamOrderError(0)
-    pix = events["y"].astype(np.intp) * state.geometry.width + events["x"]
-    _per_event_decay_fill(state, t, pix, events["p"])
-    state.last_update_time_us = int(t[-1])
+    _per_event_decay_fill(state, events)
+    state.last_update_time_us = int(events["t"][-1])
     return state
 
 
@@ -248,7 +271,10 @@ def run_sequence(
     frames = []
     for seg in segments:
         if int_config.method is Method.PER_EVENT_DECAY:
-            update_per_event(state, seg.events)
+            # segment_stream has validated the stream, and each segment
+            # starts at or after the clock
+            if seg.num_events:
+                _per_event_decay_fill(state, seg.events)
         else:
             _update_adaptive_segment(state, seg, seg_config)
         state.last_update_time_us = seg.index * T

@@ -267,8 +267,8 @@ def train_toy(
 ) -> tuple[list[float], ToyModelState]:
     """Plain gradient descent on the masked sequence loss.
 
-    A fresh tube mask is drawn every step. Aborts on NaN loss, naming
-    the step.
+    A fresh tube mask is drawn every step. Aborts, naming the step, at the
+    first overflow or invalid value in a step, before numpy warns of it.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -281,10 +281,14 @@ def train_toy(
     for step in range(steps):
         mask = sample_tube_mask(grid, mask_ratio, seed=config.seed * 100003 + step)
         masked_inputs = [apply_mask(x, mask, grid) for x in inputs]
-        loss, grads = backward_sequence(state, masked_inputs, targets, mask, grid)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"training diverged at step {step}")
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                loss, grads = backward_sequence(state, masked_inputs, targets, mask, grid)
+                if not np.isfinite(loss):
+                    raise FloatingPointError
+                for k in state.params:
+                    state.params[k] -= lr * grads[k]
+        except FloatingPointError:
+            raise TrainingDivergedError(f"training diverged at step {step}") from None
         curve.append(loss)
-        for k in state.params:
-            state.params[k] -= lr * grads[k]
     return curve, state

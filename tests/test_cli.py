@@ -291,8 +291,7 @@ def test_pretrain_toy_diverged_exit_2(tmp_path, capsys):
     curve = tmp_path / "curve.txt"
     argv = ["pretrain-toy", str(SCENES / "disc.scene"), "-o", str(curve),
             "--steps", "40", "--lr", "1e6"]
-    with np.errstate(all="ignore"):
-        assert main(argv) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "evprep: error: training diverged at step" in err and "Traceback" not in err
     assert not curve.exists()
