@@ -82,12 +82,14 @@ class IntensityState:
         )
 
 
-# The rank loop stops at the first rank where fewer than this many pixels
-# still have events; each of those pixels then finishes its own events in a
-# scalar loop. On a 2-vCPU Xeon (numpy 2.4, CPython 3.11), 200 000 events on
-# one pixel took 1.13 s as rank steps and 0.04 s as a scalar loop: one rank
-# step, two ufunc calls on short slices, costs as much as 30 to 40 scalar
-# events.
+# The rank loop stops once fewer than this many pixels still have events;
+# each of those pixels then finishes its own events in a scalar loop. On a
+# 2-vCPU Xeon (numpy 2.4, CPython 3.11), 200 000 events on one pixel took
+# 1.46 s as rank steps and 0.04 s as a scalar loop. A rank step (gathers,
+# a multiply, an add and a scatter on the active pixels) took 8 us on 8 to
+# 16 pixels and 20 us on 128; a scalar event took 140 to 180 ns. On
+# hot-pixel streams, where few pixels pass rank 1, any value from 16 to 128
+# gave the same time within noise.
 _MIN_ACTIVE_PIXELS = 32
 
 
@@ -96,19 +98,20 @@ def _per_event_decay_fill(state: IntensityState, events: np.ndarray) -> None:
     ``state.frame`` and ``state.last_event_t_us``, in place.
 
     ``events`` must be a non-empty, validated, sorted batch. Pixels are
-    independent, so the k-th event of every pixel is applied in one
-    vectorized step. Events are laid out rank-major with pixels ordered by
-    descending event count, so the pixels still active at rank k are a
-    prefix of that order. Once fewer than ``_MIN_ACTIVE_PIXELS`` remain,
-    each of them runs its remaining events in a Python loop: CPython rounds
-    ``d * x + a`` as a multiply and then an add, with no fused
-    multiply-add, exactly as the two ufunc calls do, so both phases give
-    the same bits.
+    independent, so the k-th event of every pixel that has one is applied
+    in one vectorized step over the pixels' own values ``f``. Once fewer
+    than ``_MIN_ACTIVE_PIXELS`` pixels have events left, each of them runs
+    the rest in a Python loop: CPython rounds ``d * x + a`` as a multiply
+    and then an add, with no fused multiply-add, exactly as the two ufunc
+    calls do, so both phases give the same bits.
     """
     t = events["t"].astype(np.int64)
     pix = events["y"].astype(np.intp) * state.geometry.width + events["x"]
     n = t.shape[0]
-    frame, last_t = state.frame, state.last_event_t_us
+    # flat views of the state: reshape copies a non-contiguous array
+    state.frame = np.ascontiguousarray(state.frame)
+    state.last_event_t_us = np.ascontiguousarray(state.last_event_t_us)
+    frame, last_t = state.frame.reshape(-1), state.last_event_t_us.reshape(-1)
     alpha, threshold = state.config.alpha_per_s, state.config.threshold
     # sorting the unique keys pixel * n + index is a stable argsort by pixel,
     # so events of one pixel keep their time order; ~10x faster than
@@ -118,49 +121,31 @@ def _per_event_decay_fill(state: IntensityState, events: np.ndarray) -> None:
     t = t[order]
     first = np.flatnonzero(np.concatenate(([True], pix[1:] != pix[:-1])))
     counts = np.diff(np.append(first, n))
-    py, px = np.divmod(pix[first], state.geometry.width)
+    cells = pix[first]
 
     prev_t = np.empty_like(t)
     prev_t[1:] = t[:-1]
-    prev_t[first] = last_t[py, px]
+    prev_t[first] = last_t[cells]
     # same operation order as the scalar rule
     decay = np.exp(-alpha * ((t - prev_t) * 1e-6))
     add = events["p"][order] * threshold
 
-    # slot of each pixel in descending-count order (pixels are independent,
-    # so ties may go in any order), then each event's rank within its pixel
-    # and its position in the rank-major layout
-    by_count = np.argsort(-counts)
-    slot = np.empty_like(by_count)
-    slot[by_count] = np.arange(by_count.shape[0])
-    group = np.repeat(np.arange(first.shape[0]), counts)
-    rank = np.arange(n) - first[group]
-    active = np.bincount(rank)  # pixels with more than k events, per rank k
-    offset = np.concatenate(([0], np.cumsum(active)))
-    dest = offset[rank] + slot[group]
-    decay_rm = np.empty_like(decay)
-    decay_rm[dest] = decay
-    add_rm = np.empty_like(add)
-    add_rm[dest] = add
-
-    cells = (py[by_count], px[by_count])
-    f = frame[cells]
-    k = int(np.count_nonzero(active >= _MIN_ACTIVE_PIXELS))  # active is non-increasing
-    for lo, m in zip(offset[:k].tolist(), active[:k].tolist()):
-        np.multiply(decay_rm[lo : lo + m], f[:m], out=f[:m])
-        np.add(f[:m], add_rm[lo : lo + m], out=f[:m])
-    if k < active.shape[0]:
-        # the pixels in slots 0 .. active[k]-1 have events from rank k on;
-        # in pixel order each one's events are a contiguous run
-        busy = by_count[: active[k]]
-        runs = zip((first[busy] + k).tolist(), (first[busy] + counts[busy]).tolist())
-        for s, (lo, hi) in enumerate(runs):
-            x = float(f[s])
-            for d, a in zip(decay[lo:hi].tolist(), add[lo:hi].tolist()):
-                x = d * x + a
-            f[s] = x
+    f = decay[first] * frame[cells] + add[first]
+    k, groups = 1, np.flatnonzero(counts > 1)  # the pixels with more than k events
+    while groups.shape[0] >= _MIN_ACTIVE_PIXELS:
+        at = first[groups] + k
+        f[groups] = decay[at] * f[groups] + add[at]
+        k += 1
+        groups = groups[counts[groups] > k]
+    # in pixel order each pixel's events are a contiguous run
+    starts, ends = first[groups] + k, first[groups] + counts[groups]
+    for g, lo, hi in zip(groups.tolist(), starts.tolist(), ends.tolist()):
+        x = float(f[g])
+        for d, a in zip(decay[lo:hi].tolist(), add[lo:hi].tolist()):
+            x = d * x + a
+        f[g] = x
     frame[cells] = f
-    last_t[py, px] = t[first + counts - 1]
+    last_t[cells] = t[first + counts - 1]
 
 
 def update_per_event(state: IntensityState, events: np.ndarray) -> IntensityState:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evprep import (
@@ -309,6 +309,18 @@ def adaptive_runs(draw):
 
 
 @given(adaptive_runs())
+# bin 1's decay underflows to 0, leaving -0.0 on pixel (0, 0), which has no
+# event there; only the zero add of a positive threshold makes it +0.0
+@example(
+    (
+        make_events([1, 6], [0, 1], [0, 0], [-1, 1]),
+        SensorGeometry(2, 1),
+        SegmentConfig(10, 2),
+        adaptive_cfg(alpha_per_s=1e12, threshold=2.0, normalizer=1, bin_duration_us=5),
+        1,
+        0,
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_adaptive_matches_histogram_oracle(run):
     events, geo, seg, cfg, num_segments, first = run
@@ -353,3 +365,17 @@ def test_adaptive_resume_from_column_major_frame(scene):
     state.frame = np.asfortranarray(state.frame)
     _, resumed = run_sequence(events, scene.geometry, seg, cfg, resume=state, num_segments=2)
     assert [f.tobytes() for f in resumed] == [f.tobytes() for f in single[2:]]
+
+
+def test_decay_resume_from_column_major_state(scene):
+    events = simulate_events(scene)
+    seg = SegmentConfig(20_000, 4)
+    cfg = decay_cfg(bin_duration_us=5000)
+    single_state, single = run_sequence(events, scene.geometry, seg, cfg, num_segments=4)
+    state, _ = run_sequence(events, scene.geometry, seg, cfg, num_segments=2)
+    state.frame = np.asfortranarray(state.frame)
+    state.last_event_t_us = np.asfortranarray(state.last_event_t_us)
+    state, resumed = run_sequence(events, scene.geometry, seg, cfg, resume=state, num_segments=2)
+    assert [f.tobytes() for f in resumed] == [f.tobytes() for f in single[2:]]
+    assert state.frame.tobytes() == single_state.frame.tobytes()
+    assert state.last_event_t_us.tobytes() == single_state.last_event_t_us.tobytes()

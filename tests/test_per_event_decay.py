@@ -4,6 +4,7 @@ byte for byte against the rank loop it finishes with per-pixel scalar loops."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,25 +233,34 @@ def skewed_batches(draw):
     else:
         counts = [draw(st.integers(1, 40))] * draw(st.integers(1, npix))
     pix = rng.permutation(np.repeat(used[: len(counts)], counts))
+    return (geo, *with_prior_state(geo, pix, rng))
+
+
+def with_prior_state(geo, pix, rng):
+    """Sorted events at the pixels ``pix`` (flat indices, in stream order),
+    a prior state with negative values, signed zeros and subnormals, and the
+    time of the first event."""
     n = pix.shape[0]
     t0 = int(rng.integers(0, 50_000))
     # zero steps repeat a timestamp
     t = t0 + np.cumsum(rng.integers(0, 4_000, n) * (rng.random(n) < 0.9))
     events = make_events(t, pix % geo.width, pix // geo.width, rng.choice([-1, 1], n))
 
-    # a prior state with negative values, signed zeros and subnormals
     frame0 = rng.normal(scale=5.0, size=(geo.height, geo.width))
     special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1e-315])
     odd = rng.random(frame0.shape) < 0.3
     frame0[odd] = rng.choice(special, int(odd.sum()))
     last0 = rng.integers(0, t0 + 1, size=frame0.shape)
-    return geo, events, frame0, last0, t0
+    return events, frame0, last0, t0
 
 
 @given(skewed_batches(), alphas, thresholds)
 @settings(max_examples=150, deadline=None)
 def test_bytes_match_rank_loop(batch, alpha, threshold):
-    geo, events, frame0, last0, t0 = batch
+    check_bytes_match_rank_loop(*batch, alpha, threshold)
+
+
+def check_bytes_match_rank_loop(geo, events, frame0, last0, t0, alpha, threshold):
     cfg = IntensityConfig(Method.PER_EVENT_DECAY, alpha_per_s=alpha, threshold=threshold)
     state, ref = IntensityState.initial(geo, cfg), IntensityState.initial(geo, cfg)
     for s in (state, ref):
@@ -264,3 +274,22 @@ def test_bytes_match_rank_loop(batch, alpha, threshold):
     rank_loop_fill(ref, t, pix, events["p"])
     assert state.frame.tobytes() == ref.frame.tobytes()
     assert state.last_event_t_us.tobytes() == ref.last_event_t_us.tobytes()
+
+
+@pytest.mark.parametrize("repeated", [0, 31, 32])
+@pytest.mark.parametrize("alpha, threshold", [(5.0, 1.0), (150.0, -2.5)])
+def test_rank_boundaries(repeated, alpha, threshold):
+    # 64 pixels, one event each except `repeated` of them, so that exactly
+    # that many pixels are still active at rank 1: none (rank 0 only), one
+    # short of the rank step (straight to the per-pixel loops) and exactly
+    # enough for one; three of them run on to rank 5
+    geo = SensorGeometry(8, 8)
+    rng = np.random.default_rng(repeated)
+    counts = np.ones(64, dtype=np.intp)
+    counts[:repeated] = 2
+    counts[:min(repeated, 3)] = 6
+    pix = rng.permutation(np.repeat(rng.permutation(64), counts))
+    events, frame0, last0, t0 = with_prior_state(geo, pix, rng)
+    assert np.count_nonzero(np.bincount(pix) > 1) == repeated
+    check_bytes_match_rank_loop(geo, events, frame0, last0, t0, alpha, threshold)
+    check_against_oracle(geo, events, alpha, threshold, frame0, last0, t0)
