@@ -68,6 +68,7 @@ _finite_float = _number(float, lambda v: True, "a finite number")
 _non_negative_float = _number(float, lambda v: v >= 0, "a finite number >= 0")
 _positive_float = _number(float, lambda v: v > 0, "a finite number > 0")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _number(float, lambda v: 0 <= v <= 1, "a finite number in [0, 1]")
 
 
@@ -267,7 +268,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="trail-energy table for an INTF frame stack")
     p.add_argument("frames", help="INTF file")
     p.add_argument("scene", help="scene file that produced the events")
-    p.add_argument("--after-us", type=int, help="passage time (default: half duration)")
+    p.add_argument("--after-us", type=_non_negative_int, help="passage time (default: half duration)")
     p.add_argument("--report", help="also write a JSON report here")
     p.set_defaults(func=cmd_report)
 
@@ -279,7 +280,7 @@ def build_parser() -> _Parser:
     p.add_argument("--patch", type=_positive_int, default=8)
     p.add_argument("--embed", type=_positive_int, default=16)
     p.add_argument("--ratio", type=_fraction, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--feedforward", action="store_true", help="disable recurrence")
     _add_segment_flags(p)
     _add_estimator_flags(p)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from evprep.errors import FormatError
-from evprep.events import EVENT_DTYPE, SensorGeometry, make_events, validate_stream
+from evprep.events import EVENT_DTYPE, SensorGeometry, make_events
 from evprep.intensity import IntensityConfig, IntensityState, Method
 
 EVT1_MAGIC = b"EVT1"
@@ -33,7 +33,11 @@ def write_evt1(path, events: np.ndarray, geometry: SensorGeometry) -> None:
 
 
 def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
-    """Read and validate an EVT1 file, holding the records in memory once."""
+    """Read an EVT1 file, holding the records in memory once.
+
+    Only the framing is checked here; the records are checked by
+    :func:`evprep.events.segment_stream`, as text-file records are.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_EVT1_HEADER.size)
         if len(header) < _EVT1_HEADER.size:
@@ -46,9 +50,7 @@ def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
         if rest:
             raise FormatError(f"{path}: event payload not a whole number of records")
         events = np.fromfile(fh, dtype=EVENT_DTYPE, count=count)
-    geometry = SensorGeometry(width, height)
-    validate_stream(events, geometry)
-    return events, geometry
+    return events, SensorGeometry(width, height)
 
 
 def read_text_events(path) -> np.ndarray:

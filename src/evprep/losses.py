@@ -24,7 +24,6 @@ def masked_mse(
     mask: TubeMask,
     grid: PatchGrid,
     normalize_target: bool = False,
-    epsilon: float = 1e-6,
 ) -> float:
     """Mean squared error over pixels of masked patches only."""
     if prediction.shape != target.shape:
@@ -32,7 +31,7 @@ def masked_mse(
     if mask.num_masked == 0:
         raise ValueError("mask is empty; masked MSE undefined")
     if normalize_target:
-        target = normalize_patches(target, grid, epsilon)
+        target = normalize_patches(target, grid)
     pix = mask.pixel_mask(grid)
     diff = prediction[pix] - target[pix]
     return float(np.mean(diff * diff))
@@ -43,7 +42,6 @@ def sequence_loss(
     targets: list[np.ndarray],
     mask: TubeMask,
     grid: PatchGrid,
-    epsilon: float = 1e-6,
 ) -> MaskedLossReport:
     """Per-stage masked MSE against patch-normalized targets, averaged.
 
@@ -56,8 +54,7 @@ def sequence_loss(
     if not predictions:
         raise ValueError("need at least one stage")
     per_stage = [
-        masked_mse(p, t, mask, grid, normalize_target=True, epsilon=epsilon)
-        for p, t in zip(predictions, targets)
+        masked_mse(p, t, mask, grid, normalize_target=True) for p, t in zip(predictions, targets)
     ]
     return MaskedLossReport(
         loss=float(np.mean(per_stage)),

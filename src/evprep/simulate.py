@@ -87,34 +87,28 @@ class SceneSpec:
             raise ValueError("sample_interval must divide duration")
 
 
-def render_logintensity(scene: SceneSpec, t_us: int) -> np.ndarray:
-    """Rasterize the scene's log-intensity at time t.
+def _disc_coverage(scene: SceneSpec, t_us: int):
+    """Yield each disc at time t, bottom to top, with the pixels it covers:
+    those whose center lies within its radius. No anti-aliasing."""
+    geo = scene.geometry
+    ys, xs = np.mgrid[0 : geo.height, 0 : geo.width]
+    for disc in scene.objects:
+        cx, cy = disc.center_at(t_us)
+        yield disc, (xs - cx) ** 2 + (ys - cy) ** 2 <= disc.radius**2
 
-    A pixel is covered when its center lies within the disc radius; the
-    last disc in the object list is topmost. No anti-aliasing.
-    """
+
+def render_logintensity(scene: SceneSpec, t_us: int) -> np.ndarray:
+    """Rasterize the scene's log-intensity at time t; the last disc in the
+    object list is topmost."""
     if not 0 <= t_us <= scene.duration_us:
         raise ValueError(f"t={t_us}us outside scene duration")
     geo = scene.geometry
     frame = np.full(
         (geo.height, geo.width), scene.background_logintensity, dtype=np.float64
     )
-    ys, xs = np.mgrid[0 : geo.height, 0 : geo.width]
-    for disc in scene.objects:
-        cx, cy = disc.center_at(t_us)
-        inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= disc.radius**2
+    for disc, inside in _disc_coverage(scene, t_us):
         frame[inside] = disc.logintensity
     return frame
-
-
-def _disc_footprint(scene: SceneSpec, t_us: int) -> np.ndarray:
-    geo = scene.geometry
-    ys, xs = np.mgrid[0 : geo.height, 0 : geo.width]
-    covered = np.zeros((geo.height, geo.width), dtype=bool)
-    for disc in scene.objects:
-        cx, cy = disc.center_at(t_us)
-        covered |= (xs - cx) ** 2 + (ys - cy) ** 2 <= disc.radius**2
-    return covered
 
 
 def _sample_times(scene: SceneSpec) -> np.ndarray:
@@ -225,12 +219,14 @@ def oracle_intensity(scene: SceneSpec, times_us: list[int]) -> list[np.ndarray]:
 
 
 def swept_region(scene: SceneSpec, t0_us: int, t1_us: int) -> np.ndarray:
-    """Pixels covered by any disc at any sample time in [t0, t1]."""
+    """Pixels covered by any disc at any sample time in [t0, t1], as
+    :func:`render_logintensity` covers them."""
     si = scene.sample_interval_us
     start = (t0_us // si) * si
     covered = np.zeros((scene.geometry.height, scene.geometry.width), dtype=bool)
     for t in range(max(0, start), min(t1_us, scene.duration_us) + 1, si):
-        covered |= _disc_footprint(scene, t)
+        for _, inside in _disc_coverage(scene, t):
+            covered |= inside
     return covered
 
 

@@ -11,20 +11,23 @@ finite-difference gradient checks hold at tight tolerance.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from evprep.errors import FormatError, GeometryError, TrainingDivergedError
 from evprep.events import SegmentConfig, build_histogram, flatten_histogram, segment_stream
 from evprep.intensity import IntensityConfig, Method, run_sequence
-from evprep.losses import sequence_loss
+from evprep.losses import masked_mse
 from evprep.masking import PatchGrid, TubeMask, apply_mask, normalize_patches, sample_tube_mask
 from evprep.simulate import SceneSpec, simulate_events
 
 PARAM_MAGIC = b"TOYP"
 
 PARAM_ORDER = ("embed", "rec_c", "rec_f", "rec_bias", "decode")
+
+# histogram counts saturate here before they become model inputs
+CLIP_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class ToyModelState:
     config: ToyModelConfig
     params: dict[str, np.ndarray]
     memory: np.ndarray | None = None
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _uniform(rng, fan_in, shape):
@@ -139,16 +141,16 @@ def backward_sequence(
     targets: list[np.ndarray],
     mask: TubeMask,
     grid: PatchGrid,
-    epsilon: float = 1e-6,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Exact backpropagation through time of the masked sequence loss.
 
-    Targets are raw intensity frames; they are patch-normalized here,
-    matching :func:`evprep.losses.sequence_loss`. Gradients land in
-    ``state.grads`` and are also returned.
+    Targets are already patch-normalized (:func:`normalize_patches`); the
+    loss is :func:`evprep.losses.sequence_loss` of the raw frames.
     """
     if len(inputs) != len(targets):
         raise ValueError("inputs/targets length mismatch")
+    if not inputs:
+        raise ValueError("need at least one stage")
     M = len(inputs)
     cfg = state.config
     P = cfg.patch_size
@@ -167,15 +169,15 @@ def backward_sequence(
         cache.append((X, c_prev, f, h))
         predictions.append(frame)
 
-    norm_targets = [normalize_patches(t, grid, epsilon) for t in targets]
-    report = sequence_loss(predictions, targets, mask, grid, epsilon)
+    per_stage = [masked_mse(pred, t, mask, grid) for pred, t in zip(predictions, targets)]
+    loss = float(np.mean(per_stage))
 
     grads = {k: np.zeros_like(v) for k, v in p.items()}
     dc_next = None
     for i in reversed(range(M)):
         X, c_prev, f, h = cache[i]
         dframe = np.zeros((grid.height, grid.width), dtype=np.float64)
-        dframe[pix] = 2.0 * (predictions[i][pix] - norm_targets[i][pix]) / (
+        dframe[pix] = 2.0 * (predictions[i][pix] - targets[i][pix]) / (
             M * n_masked_pix
         )
         dpred = _patchify(dframe[None], P)
@@ -190,8 +192,7 @@ def backward_sequence(
         grads["embed"] += X.T @ (da @ p["rec_f"])
         dc_next = da @ p["rec_c"] if cfg.recurrent else None
 
-    state.grads = grads
-    return report.loss, grads
+    return loss, grads
 
 
 def flatten_params(params: dict[str, np.ndarray]) -> np.ndarray:
@@ -216,13 +217,11 @@ def serialize_params(state: ToyModelState) -> bytes:
     return header + flatten_params(state.params).astype("<f8").tobytes()
 
 
-def deserialize_params(blob: bytes, seed: int = 0) -> ToyModelState:
+def deserialize_params(blob: bytes) -> ToyModelState:
     if len(blob) < 11 or blob[:4] != PARAM_MAGIC:
         raise FormatError("not a toy-model parameter blob")
     P, D, C, rec = struct.unpack("<HHHB", blob[4:11])
-    cfg = ToyModelConfig(
-        patch_size=P, embed_dim=D, in_channels=C, recurrent=bool(rec), seed=seed
-    )
+    cfg = ToyModelConfig(patch_size=P, embed_dim=D, in_channels=C, recurrent=bool(rec))
     state = init_model(cfg)
     vec = np.frombuffer(blob[11:], dtype="<f8")
     expected = flatten_params(state.params).size
@@ -237,14 +236,13 @@ def build_training_data(
     seg_config: SegmentConfig,
     int_config: IntensityConfig,
     num_segments: int,
-    clip_max: int = 10,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Simulate the scene once and derive (model inputs, raw targets)."""
     events = simulate_events(scene)
     geometry = scene.geometry
     segments, _ = segment_stream(events, geometry, seg_config, num_segments)
     inputs = [
-        flatten_histogram(build_histogram(s, geometry, seg_config, clip_max=clip_max))
+        flatten_histogram(build_histogram(s, geometry, seg_config, clip_max=CLIP_MAX))
         for s in segments
     ]
     _, frames = run_sequence(
@@ -263,19 +261,18 @@ def train_toy(
     int_config: IntensityConfig,
     num_segments: int,
     mask_ratio: float = 0.5,
-    clip_max: int = 10,
 ) -> tuple[list[float], ToyModelState]:
     """Plain gradient descent on the masked sequence loss.
 
-    A fresh tube mask is drawn every step. Aborts, naming the step, at the
+    The targets are patch-normalized once; a fresh tube mask is drawn
+    every step. Aborts, naming the step, at the
     first overflow or invalid value in a step, before numpy warns of it.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    inputs, targets = build_training_data(
-        scene, seg_config, int_config, num_segments, clip_max
-    )
+    inputs, targets = build_training_data(scene, seg_config, int_config, num_segments)
     grid = PatchGrid(config.patch_size, scene.geometry.height, scene.geometry.width)
+    targets = [normalize_patches(t, grid) for t in targets]
     state = init_model(config)
     curve = []
     for step in range(steps):

@@ -112,9 +112,11 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
         ("pretrain-toy", "--steps", "0"),
         ("pretrain-toy", "--embed", "0"),
         ("pretrain-toy", "--lr", "nan"),
+        ("pretrain-toy", "--seed", "-1"),
         ("bench", "--segment-ms", "0"),
         ("bench", "--segment-ms", "0.0004"),
         ("bench", "--bins", "3"),
+        ("report", "--after-us", "-1000000"),
     ],
 )
 def test_bad_flag_exit_1_other_commands(
@@ -127,6 +129,8 @@ def test_bad_flag_exit_1_other_commands(
     out = tmp_path / "curve.txt"
     if command == "pretrain-toy":
         argv = [command, str(SCENES / "disc.scene"), "-o", str(out), "--steps", "1"]
+    elif command == "report":
+        argv = [command, str(tmp_path / "frames.intf"), str(SCENES / "disc.scene")]
     else:
         argv = [command, str(evt1)]
     with pytest.raises(SystemExit) as exc:

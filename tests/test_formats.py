@@ -3,7 +3,8 @@ import pytest
 
 from evprep import IntensityConfig, IntensityState, Method, SensorGeometry
 from evprep.errors import FormatError, GeometryError, StreamOrderError
-from evprep.events import EVENT_DTYPE, make_events
+from evprep.cli import main
+from evprep.events import EVENT_DTYPE, SegmentConfig, make_events, segment_stream
 from evprep.formats import (
     load_state,
     read_evt1,
@@ -54,15 +55,28 @@ def test_evt1_truncated_payload(tmp_path):
         read_evt1(path)
 
 
-def test_evt1_bad_polarity(tmp_path):
-    path = tmp_path / "badp.evt1"
+def assert_records_checked_downstream(tmp_path, capsys, events, error, message):
+    """read_evt1 checks the framing only: it returns well-framed bad records
+    as they are, and segment_stream, as `evprep intensity` and `evprep bench`
+    run it, rejects them with ``error(message)`` and exit 2."""
+    path = tmp_path / "bad.evt1"
+    write_evt1(path, events, GEO)
+    back, geometry = read_evt1(path)
+    assert geometry == GEO and back.tobytes() == events.tobytes()
+    with pytest.raises(error) as exc:
+        segment_stream(back, geometry, SegmentConfig(10_000, 5))
+    assert str(exc.value) == message
+    for argv in (["intensity", str(path), "-o", str(tmp_path / "o.intf")], ["bench", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"evprep: error: {message}\n"
+
+
+def test_evt1_bad_polarity(tmp_path, capsys):
     ev = make_events([1], [2], [3], [1])
-    write_evt1(path, ev, GEO)
-    raw = bytearray(path.read_bytes())
-    raw[-1] = 0  # zero polarity does not exist
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="polarity"):
-        read_evt1(path)
+    ev["p"] = 0  # zero polarity does not exist
+    assert_records_checked_downstream(
+        tmp_path, capsys, ev, FormatError, "event 0 has polarity 0, not -1 or +1"
+    )
 
 
 def test_text_events(tmp_path):
@@ -175,14 +189,15 @@ def test_state_from_older_version_loads(tmp_path):
     assert load_state(path).last_update_time_us == 0
 
 
-def test_evt1_records_validated(tmp_path):
-    path = tmp_path / "unsorted.evt1"
-    write_evt1(path, make_events([5, 3], [0, 0], [0, 0], [1, 1]), GEO)
-    with pytest.raises(StreamOrderError):
-        read_evt1(path)
-    write_evt1(path, make_events([1], [GEO.width], [0], [1]), GEO)
-    with pytest.raises(GeometryError):
-        read_evt1(path)
+def test_evt1_records_validated(tmp_path, capsys):
+    assert_records_checked_downstream(
+        tmp_path, capsys, make_events([5, 3], [0, 0], [0, 0], [1, 1]),
+        StreamOrderError, "event stream unsorted: inversion at index 1",
+    )
+    assert_records_checked_downstream(
+        tmp_path, capsys, make_events([1], [GEO.width], [0], [1]),
+        GeometryError, "event 0 at (32, 0) outside 32x24 sensor",
+    )
 
 
 @pytest.mark.parametrize(
