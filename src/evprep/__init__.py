@@ -36,11 +36,9 @@ from evprep.masking import (
 )
 from evprep.losses import (
     DepthConfig,
-    MaskedLossReport,
     denormalize_depth,
     masked_mse,
     normalize_depth,
-    sequence_loss,
     trail_energy,
 )
 from evprep.simulate import (

@@ -23,7 +23,7 @@ from evprep.formats import (
     read_intf,
     write_pgm,
 )
-from evprep.intensity import IntensityConfig, Method, run_sequence
+from evprep.intensity import IntensityConfig, Method, iter_sequence
 from evprep.losses import trail_energy
 from evprep.masking import PatchGrid
 from evprep.scenefile import load_scene
@@ -127,6 +127,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _with_previews(frames, out_dir: Path):
+    """Pass ``frames`` through, writing each one's PGM preview on the way."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, frame in enumerate(frames):
+        write_pgm(out_dir / f"frame_{i:05d}.pgm", frame)
+        yield frame
+
+
 def cmd_intensity(args) -> int:
     if args.geometry:
         geometry = args.geometry
@@ -135,7 +143,7 @@ def cmd_intensity(args) -> int:
         events, geometry = read_evt1(args.input)
     seg_config, int_config = args.seg_config, _int_config(args)
     resume = load_state(args.resume) if args.resume else None
-    state, frames = run_sequence(
+    state, frames = iter_sequence(
         events,
         geometry,
         seg_config,
@@ -143,14 +151,11 @@ def cmd_intensity(args) -> int:
         resume=resume,
         num_segments=args.segments,
     )
-    write_intf(args.output, frames, geometry)
+    if args.pgm_dir:
+        frames = _with_previews(frames, Path(args.pgm_dir))
+    count = write_intf(args.output, frames, geometry)
     if args.save_state:
         save_state(args.save_state, state)
-    if args.pgm_dir:
-        out_dir = Path(args.pgm_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, frame in enumerate(frames):
-            write_pgm(out_dir / f"frame_{i:05d}.pgm", frame)
     if args.print_config:
         _print_config(
             {
@@ -161,10 +166,10 @@ def cmd_intensity(args) -> int:
                 "alpha_per_s": int_config.alpha_per_s,
                 "threshold": int_config.threshold,
                 "normalizer": int_config.normalizer,
-                "segments": len(frames),
+                "segments": count,
             }
         )
-    print(f"wrote {len(frames)} frames to {args.output}")
+    print(f"wrote {count} frames to {args.output}")
     return EXIT_OK
 
 

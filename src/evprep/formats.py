@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
+from collections.abc import Iterable
 
 import numpy as np
 
-from evprep.errors import FormatError
+from evprep.errors import FormatError, GeometryError
 from evprep.events import EVENT_DTYPE, SensorGeometry, make_events
 from evprep.intensity import IntensityConfig, IntensityState, Method
 
@@ -79,35 +79,44 @@ def read_text_events(path) -> np.ndarray:
     return make_events(ts, xs, ys, ps)
 
 
-def write_intf(path, frames: list[np.ndarray], geometry: SensorGeometry) -> None:
+def write_intf(path, frames: Iterable[np.ndarray], geometry: SensorGeometry) -> int:
+    """Stream ``frames`` to an INTF file and return how many it wrote.
+
+    The header's count is written as 0 and set once the frames run out, so
+    ``path`` must be seekable. A run that dies after its first frame leaves
+    a count that disagrees with the payload, which :func:`read_intf` rejects.
+    """
+    shape = (geometry.height, geometry.width)
+    count = 0
     with open(path, "wb") as fh:
-        fh.write(
-            _INTF_HEADER.pack(INTF_MAGIC, geometry.width, geometry.height, len(frames))
-        )
-        for frame in frames:
-            fh.write(np.ascontiguousarray(frame, dtype="<f4").tobytes())
+        if not fh.seekable():
+            raise OSError(f"{path}: INTF output must be a seekable file")
+        fh.write(_INTF_HEADER.pack(INTF_MAGIC, geometry.width, geometry.height, 0))
+        for count, frame in enumerate(frames, start=1):
+            frame = np.ascontiguousarray(frame, dtype="<f4")
+            if frame.shape != shape:
+                raise GeometryError(f"frame {count - 1} is {frame.shape}, expected {shape}")
+            fh.write(frame)
+        fh.seek(0)
+        fh.write(_INTF_HEADER.pack(INTF_MAGIC, geometry.width, geometry.height, count))
+    return count
 
 
 def read_intf(path) -> tuple[list[np.ndarray], SensorGeometry]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _INTF_HEADER.size:
-        raise FormatError(f"{path}: truncated INTF header")
-    magic, width, height, count = _INTF_HEADER.unpack_from(raw)
-    if magic != INTF_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected INTF")
-    frame_bytes = width * height * 4
-    body = raw[_INTF_HEADER.size :]
-    if len(body) != count * frame_bytes:
-        raise FormatError(
-            f"{path}: payload holds {len(body)} bytes, expected {count * frame_bytes}"
-        )
-    frames = [
-        np.frombuffer(body, dtype="<f4", count=width * height, offset=i * frame_bytes)
-        .reshape(height, width)
-        .copy()
-        for i in range(count)
-    ]
-    return frames, SensorGeometry(width, height)
+    """Read an INTF file into one (count, H, W) array; the frames are its views."""
+    with open(path, "rb") as fh:
+        header = fh.read(_INTF_HEADER.size)
+        if len(header) < _INTF_HEADER.size:
+            raise FormatError(f"{path}: truncated INTF header")
+        magic, width, height, count = _INTF_HEADER.unpack(header)
+        if magic != INTF_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected INTF")
+        payload = os.fstat(fh.fileno()).st_size - _INTF_HEADER.size
+        values = count * height * width
+        if payload != 4 * values:
+            raise FormatError(f"{path}: payload holds {payload} bytes, expected {4 * values}")
+        frames = np.fromfile(fh, dtype="<f4", count=values).reshape(count, height, width)
+    return list(frames), SensorGeometry(width, height)
 
 
 def write_pgm(path, frame: np.ndarray) -> None:

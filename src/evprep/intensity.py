@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,20 +217,22 @@ def _update_adaptive_segment(
         np.add(state.frame, 0.0 * cfg.threshold, out=state.frame)
 
 
-def run_sequence(
+def iter_sequence(
     events: np.ndarray,
     geometry: SensorGeometry,
     seg_config: SegmentConfig,
     int_config: IntensityConfig,
     resume: IntensityState | None = None,
     num_segments: int | None = None,
-) -> tuple[IntensityState, list[np.ndarray]]:
-    """Drive the configured estimator over whole segments.
+) -> tuple[IntensityState, Iterator[np.ndarray]]:
+    """Drive the configured estimator over whole segments, one at a time.
 
-    Emits one float32 frame snapshot per segment and sets the clock to each
-    segment's end. A ``resume`` state continues with the segment starting
-    at its clock, which must be a multiple of T, whichever T saved it: a
-    split run is bit-identical to a single combined run.
+    The stream and configs are checked, and the stream segmented, before
+    this returns. It returns the state and a generator that, per segment,
+    advances the state in place, sets its clock to the segment's end and
+    yields a float32 frame snapshot. A ``resume`` state continues with the
+    segment starting at its clock, which must be a multiple of T, whichever
+    T saved it: a split run is bit-identical to a single combined run.
     """
     if resume is not None:
         if resume.geometry != geometry:
@@ -253,15 +256,30 @@ def run_sequence(
         )
     first_index = state.last_update_time_us // T + 1
     segments, _ = segment_stream(events, geometry, seg_config, num_segments, first_index)
-    frames = []
-    for seg in segments:
-        if int_config.method is Method.PER_EVENT_DECAY:
-            # segment_stream has validated the stream, and each segment
-            # starts at or after the clock
-            if seg.num_events:
-                _per_event_decay_fill(state, seg.events)
-        else:
-            _update_adaptive_segment(state, seg, seg_config)
-        state.last_update_time_us = seg.index * T
-        frames.append(state.frame.astype(np.float32))
-    return state, frames
+
+    def frames():
+        for seg in segments:
+            if int_config.method is Method.PER_EVENT_DECAY:
+                # segment_stream has validated the stream, and each segment
+                # starts at or after the clock
+                if seg.num_events:
+                    _per_event_decay_fill(state, seg.events)
+            else:
+                _update_adaptive_segment(state, seg, seg_config)
+            state.last_update_time_us = seg.index * T
+            yield state.frame.astype(np.float32)
+
+    return state, frames()
+
+
+def run_sequence(
+    events: np.ndarray,
+    geometry: SensorGeometry,
+    seg_config: SegmentConfig,
+    int_config: IntensityConfig,
+    resume: IntensityState | None = None,
+    num_segments: int | None = None,
+) -> tuple[IntensityState, list[np.ndarray]]:
+    """:func:`iter_sequence` with every frame snapshot in one list."""
+    state, frames = iter_sequence(events, geometry, seg_config, int_config, resume, num_segments)
+    return state, list(frames)

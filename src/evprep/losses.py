@@ -8,14 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from evprep.errors import GeometryError
-from evprep.masking import PatchGrid, TubeMask, normalize_patches
-
-
-@dataclass
-class MaskedLossReport:
-    loss: float
-    masked_patch_count: int
-    per_stage_losses: list[float]
+from evprep.masking import PatchGrid, TubeMask
 
 
 def masked_mse(
@@ -23,44 +16,15 @@ def masked_mse(
     target: np.ndarray,
     mask: TubeMask,
     grid: PatchGrid,
-    normalize_target: bool = False,
 ) -> float:
     """Mean squared error over pixels of masked patches only."""
     if prediction.shape != target.shape:
         raise GeometryError("prediction/target shape mismatch")
     if mask.num_masked == 0:
         raise ValueError("mask is empty; masked MSE undefined")
-    if normalize_target:
-        target = normalize_patches(target, grid)
     pix = mask.pixel_mask(grid)
     diff = prediction[pix] - target[pix]
     return float(np.mean(diff * diff))
-
-
-def sequence_loss(
-    predictions: list[np.ndarray],
-    targets: list[np.ndarray],
-    mask: TubeMask,
-    grid: PatchGrid,
-) -> MaskedLossReport:
-    """Per-stage masked MSE against patch-normalized targets, averaged.
-
-    Targets are the intensity-video snapshots at segment boundaries.
-    """
-    if len(predictions) != len(targets):
-        raise ValueError(
-            f"got {len(predictions)} predictions but {len(targets)} targets"
-        )
-    if not predictions:
-        raise ValueError("need at least one stage")
-    per_stage = [
-        masked_mse(p, t, mask, grid, normalize_target=True) for p, t in zip(predictions, targets)
-    ]
-    return MaskedLossReport(
-        loss=float(np.mean(per_stage)),
-        masked_patch_count=mask.num_masked,
-        per_stage_losses=per_stage,
-    )
 
 
 def trail_energy(frames: list[np.ndarray], region: np.ndarray) -> list[float]:

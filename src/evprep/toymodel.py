@@ -145,7 +145,7 @@ def backward_sequence(
     """Exact backpropagation through time of the masked sequence loss.
 
     Targets are already patch-normalized (:func:`normalize_patches`); the
-    loss is :func:`evprep.losses.sequence_loss` of the raw frames.
+    loss is the mean over stages of :func:`evprep.losses.masked_mse`.
     """
     if len(inputs) != len(targets):
         raise ValueError("inputs/targets length mismatch")

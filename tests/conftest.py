@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from evprep import MovingDisc, SceneSpec, SensorGeometry
+from evprep import MovingDisc, SceneSpec, SensorGeometry, masked_mse, normalize_patches
 
 
 def disc_scene(
@@ -93,6 +95,35 @@ def freeze_scene():
             (80_000, cx + 4.0, cy),
         ],
         80_000,
+    )
+
+
+@dataclass
+class MaskedLossReport:
+    loss: float
+    masked_patch_count: int
+    per_stage_losses: list[float]
+
+
+def sequence_loss(predictions, targets, mask, grid) -> MaskedLossReport:
+    """Per-stage masked MSE against patch-normalized targets, averaged.
+
+    Targets are the intensity-video snapshots at segment boundaries.
+    """
+    if len(predictions) != len(targets):
+        raise ValueError(
+            f"got {len(predictions)} predictions but {len(targets)} targets"
+        )
+    if not predictions:
+        raise ValueError("need at least one stage")
+    per_stage = [
+        masked_mse(p, normalize_patches(t, grid), mask, grid)
+        for p, t in zip(predictions, targets)
+    ]
+    return MaskedLossReport(
+        loss=float(np.mean(per_stage)),
+        masked_patch_count=mask.num_masked,
+        per_stage_losses=per_stage,
     )
 
 

@@ -20,6 +20,7 @@ from evprep import (
     denormalize_depth,
     masked_mse,
     normalize_depth,
+    normalize_patches,
     run_sequence,
     sample_tube_mask,
     segment_stream,
@@ -203,11 +204,11 @@ def test_criterion_5_masking_contracts():
     rng = np.random.default_rng(5)
     pred = rng.normal(size=(80, 80))
     target = rng.normal(size=(80, 80))
-    base = masked_mse(pred, target, mask, grid, normalize_target=True)
+    base = masked_mse(pred, normalize_patches(target, grid), mask, grid)
     # per-patch positive affine transform of the target
     scales = np.repeat(np.repeat(rng.uniform(0.5, 4.0, (10, 10)), 8, 0), 8, 1)
     shifts = np.repeat(np.repeat(rng.normal(size=(10, 10)), 8, 0), 8, 1)
-    warped = masked_mse(pred, scales * target + shifts, mask, grid, normalize_target=True)
+    warped = masked_mse(pred, normalize_patches(scales * target + shifts, grid), mask, grid)
     assert abs(warped - base) / base < 1e-5
     _passed(5, f"exact counts for 5 ratios; tube mask byte-stable over 15 stages; affine drift {abs(warped - base) / base:.2e}")
 

@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -168,19 +170,21 @@ def test_intensity_adaptive(evt1, tmp_path):
 
 def test_intensity_matches_library(evt1, tmp_path):
     from evprep import IntensityConfig, Method, SegmentConfig, run_sequence
+    from evprep.formats import write_intf
 
-    out = tmp_path / "frames.intf"
-    main(["intensity", str(evt1), "-o", str(out), "--method", "decay",
-          "--segment-ms", "10", "--bins", "2", "--segments", "10"])
     events, geo = read_evt1(evt1)
-    _, expected = run_sequence(
-        events, geo, SegmentConfig(10_000, 2),
-        IntensityConfig(Method.PER_EVENT_DECAY, bin_duration_us=5000),
-        num_segments=10,
-    )
-    frames, _ = read_intf(out)
-    for a, b in zip(frames, expected):
-        assert np.array_equal(a, b)
+    for method in Method:
+        out = tmp_path / f"{method.value}.intf"
+        library = tmp_path / f"{method.value}-library.intf"
+        assert main(["intensity", str(evt1), "-o", str(out), "--method", method.value,
+                     "--segment-ms", "10", "--bins", "2", "--segments", "10"]) == 0
+        _, expected = run_sequence(
+            events, geo, SegmentConfig(10_000, 2),
+            IntensityConfig(method, bin_duration_us=5000),
+            num_segments=10,
+        )
+        assert len(read_intf(out)[0]) == write_intf(library, expected, geo) == 10
+        assert out.read_bytes() == library.read_bytes()
 
 
 def test_resume_split_equals_single(evt1, tmp_path):
@@ -191,21 +195,73 @@ def test_resume_split_equals_single(evt1, tmp_path):
     write_evt1(first, events[:cut], geo)
     write_evt1(second, events[cut:], geo)
 
-    single = tmp_path / "single.intf"
-    main(["intensity", str(evt1), "-o", str(single), "--segment-ms", "20",
-          "--bins", "4", "--segments", "5"])
+    for method in ("decay", "adaptive"):
+        def run(evt, name, *flags):
+            out = tmp_path / f"{method}-{name}.intf"
+            assert main(["intensity", str(evt), "-o", str(out), "--method", method,
+                         "--segment-ms", "20", "--bins", "4", *flags]) == 0
+            return [f.tobytes() for f in read_intf(out)[0]]
 
-    state = tmp_path / "state.npz"
-    out_a = tmp_path / "a.intf"
-    out_b = tmp_path / "b.intf"
-    main(["intensity", str(first), "-o", str(out_a), "--segment-ms", "20",
-          "--bins", "4", "--segments", "2", "--save-state", str(state)])
-    main(["intensity", str(second), "-o", str(out_b), "--segment-ms", "20",
-          "--bins", "4", "--segments", "3", "--resume", str(state)])
+        state = str(tmp_path / f"{method}.npz")
+        single = run(evt1, "single", "--segments", "5")
+        split = run(first, "a", "--segments", "2", "--save-state", state)
+        split += run(second, "b", "--segments", "3", "--resume", state)
+        assert len(single) == 5
+        assert split == single
 
-    combined = read_intf(out_a)[0] + read_intf(out_b)[0]
-    for a, b in zip(combined, read_intf(single)[0]):
-        assert np.array_equal(a, b)
+
+@pytest.mark.parametrize("method", ["decay", "adaptive"])
+def test_intensity_memory_flat_in_segments(tmp_path, method):
+    # frames are written as they are made: at 640x480 one float32 frame is
+    # 1.2 MiB, so 90 more segments held in memory would add 105 MiB
+    evt1 = tmp_path / "sparse.evt1"
+    n = 100
+    write_evt1(evt1, make_events(np.arange(n) * 10_000 + 7, np.arange(n), np.arange(n),
+                                 np.ones(n)), SensorGeometry(640, 480))
+    peaks = []
+    for segments in (10, 100):
+        argv = ["intensity", str(evt1), "-o", str(tmp_path / "frames.intf"), "--method",
+                method, "--segment-ms", "10", "--bins", "2", "--segments", str(segments)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 4 * 2**20, peaks
+
+
+@pytest.mark.parametrize(
+    "t, x, p, message",
+    [
+        ([10, 30, 20], [1, 1, 1], [1, 1, 1], "event stream unsorted: inversion at index 2"),
+        ([10, 20, 30], [1, 32, 1], [1, 1, 1], "event 1 at (32, 1) outside 32x16 sensor"),
+        ([10, 20, 30], [1, 1, 1], [1, 1, 0], "event 2 has polarity 0, not -1 or +1"),
+    ],
+)
+def test_bad_stream_leaves_outputs_alone(tmp_path, capsys, t, x, p, message):
+    evt1 = tmp_path / "bad.evt1"
+    write_evt1(evt1, make_events(t, x, [1, 1, 1], p), SensorGeometry(32, 16))
+    out = tmp_path / "frames.intf"
+    out.write_bytes(b"an earlier run's frames")
+    state, previews = tmp_path / "state.npz", tmp_path / "previews"
+    argv = ["intensity", str(evt1), "-o", str(out), "--save-state", str(state),
+            "--pgm-dir", str(previews)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"evprep: error: {message}\n"
+    assert out.read_bytes() == b"an earlier run's frames"
+    assert not state.exists() and not previews.exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_intensity_unseekable_output_exit_2(evt1, tmp_path, capsys):
+    read_end, write_end = os.pipe()
+    try:
+        assert main(["intensity", str(evt1), "-o", f"/dev/fd/{write_end}"]) == 2
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert "must be a seekable file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["decay", "adaptive"])

@@ -114,12 +114,25 @@ def test_text_events_out_of_range(tmp_path, line):
 def test_intf_roundtrip(tmp_path, rng):
     frames = [rng.normal(size=(GEO.height, GEO.width)).astype(np.float32) for _ in range(4)]
     path = tmp_path / "frames.intf"
-    write_intf(path, frames, GEO)
+    assert write_intf(path, iter(frames), GEO) == 4
     back, geo = read_intf(path)
     assert geo == GEO
     assert len(back) == 4
     for a, b in zip(back, frames):
         assert np.array_equal(a, b)
+    # the frames are views of one array holding the whole payload
+    assert all(f.base is back[0].base and f.base.size == 4 * GEO.height * GEO.width for f in back)
+
+
+def test_intf_rejects_wrong_frame_shape(tmp_path):
+    good = np.zeros((GEO.height, GEO.width), np.float32)
+    path = tmp_path / "frames.intf"
+    with pytest.raises(GeometryError, match=r"frame 1 is \(24, 31\), expected \(24, 32\)"):
+        write_intf(path, [good, good[:, :-1], good], GEO)
+    # the first frame was written under a count of 0
+    assert path.stat().st_size == 12 + good.nbytes
+    with pytest.raises(FormatError, match="payload"):
+        read_intf(path)
 
 
 def test_intf_payload_size_check(tmp_path, rng):

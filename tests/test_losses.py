@@ -9,10 +9,12 @@ from evprep import (
     denormalize_depth,
     masked_mse,
     normalize_depth,
+    normalize_patches,
     sample_tube_mask,
-    sequence_loss,
     trail_energy,
 )
+
+from conftest import sequence_loss
 
 GRID = PatchGrid(patch_size=4, height=16, width=16)
 MASK = sample_tube_mask(GRID, 0.5, seed=11)
@@ -31,8 +33,8 @@ def test_constant_offset():
 def test_normalized_target_affine_invariance(rng):
     target = rng.normal(size=(16, 16))
     pred = rng.normal(size=(16, 16))
-    a = masked_mse(pred, target, MASK, GRID, normalize_target=True)
-    b = masked_mse(pred, 3.0 * target + 5.0, MASK, GRID, normalize_target=True)
+    a = masked_mse(pred, normalize_patches(target, GRID), MASK, GRID)
+    b = masked_mse(pred, normalize_patches(3.0 * target + 5.0, GRID), MASK, GRID)
     assert b == pytest.approx(a, rel=1e-5)
 
 
@@ -48,7 +50,7 @@ def test_sequence_single_stage_reduces_to_masked_mse(rng):
     target = rng.normal(size=(16, 16))
     report = sequence_loss([pred], [target], MASK, GRID)
     assert report.loss == pytest.approx(
-        masked_mse(pred, target, MASK, GRID, normalize_target=True)
+        masked_mse(pred, normalize_patches(target, GRID), MASK, GRID)
     )
     assert report.masked_patch_count == MASK.num_masked
 

@@ -88,7 +88,7 @@ def test_memory_reset_equivalence(rng):
 
 
 def test_backward_loss_matches_forward_recomputation(rng):
-    from evprep.losses import sequence_loss
+    from conftest import sequence_loss
 
     cfg = small_config()
     grid = PatchGrid(cfg.patch_size, 8, 8)
