@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from evprep.events import SegmentConfig, SensorGeometry, build_histogram, make_events, segment_stream
-from evprep.intensity import IntensityConfig, Method, run_sequence
+from evprep.intensity import IntensityConfig, Method, iter_sequence
 
 
 def bench_histogram(
@@ -35,7 +35,9 @@ def bench_adaptive(
         method=Method.ADAPTIVE_BATCH, bin_duration_us=seg_config.bin_duration_us
     )
     start = time.perf_counter()
-    run_sequence(events, geometry, seg_config, config)
+    _, frames = iter_sequence(events, geometry, seg_config, config)
+    for _ in frames:
+        pass
     return n / (time.perf_counter() - start)
 
 

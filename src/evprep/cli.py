@@ -15,6 +15,7 @@ from evprep.errors import EvprepError, FormatError, GeometryError
 from evprep.events import SegmentConfig, SensorGeometry
 from evprep.formats import (
     load_state,
+    open_evt1,
     read_evt1,
     read_text_events,
     save_state,
@@ -140,7 +141,7 @@ def cmd_intensity(args) -> int:
         geometry = args.geometry
         events = read_text_events(args.input)
     else:
-        events, geometry = read_evt1(args.input)
+        events, geometry = open_evt1(args.input)
     seg_config, int_config = args.seg_config, _int_config(args)
     resume = load_state(args.resume) if args.resume else None
     state, frames = iter_sequence(

@@ -27,3 +27,7 @@ class FormatError(EvprepError):
 
 class TrainingDivergedError(EvprepError):
     """Raised when toy training reaches a non-finite loss."""
+
+
+class SegmentCountError(EvprepError):
+    """Raised when a run has more segments than an INTF file can count."""

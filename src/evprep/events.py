@@ -7,11 +7,12 @@ polarity is a signed byte in {-1, +1}.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from evprep.errors import FormatError, GeometryError, StreamOrderError
+from evprep.errors import FormatError, GeometryError, SegmentCountError, StreamOrderError
 
 # packed 13-byte record, identical to one EVT1 file record
 EVENT_DTYPE = np.dtype(
@@ -95,24 +96,119 @@ class StageHistogram:
         return int(self.counts.sum())
 
 
-def validate_stream(events: np.ndarray, geometry: SensorGeometry) -> None:
+# Records per block of the stream scan: 3.4 MB of records, plus a 2 MB
+# column of segment numbers. On a 2-vCPU Xeon (numpy 2.4, glibc malloc),
+# fresh `evprep intensity` runs on two 1M-event 640x480 streams gave these
+# minor page faults and peak RSS (adaptive on 100 bursty segments; decay on
+# 40 segments with hot pixels), against 5.2k/5.5k and 50/51 MiB when the
+# whole stream was read at once:
+#   2**16: 9.3k / 5.8k, 38 / 39 MiB      2**18: 4.9k / 5.5k, 39 / 41 MiB
+#   2**17: 9.6k / 4.0k, 38 / 39 MiB      2**19: 5.1k / 5.2k, 43 / 46 MiB
+# Below 2**18 the freed blocks leave glibc's mmap threshold under the
+# adaptive estimator's 2.4 MB frame-sized arrays, whose pages are then
+# faulted in again every segment. Wall time was the same within noise.
+SCAN_BLOCK = 2**18
+
+# INTF stores the frame count as u32
+MAX_SEGMENTS = 2**32 - 1
+
+
+def _scan(source, geometry: SensorGeometry, segment_duration_us: int | None = None):
+    """Check every record of ``source``, ``SCAN_BLOCK`` records at a time.
+
+    ``source`` is a record array or anything with ``len()`` and ``[lo:hi]``
+    slicing to one, such as ``formats.open_evt1``'s. Raises what the first
+    bad record calls for: the first inversion anywhere, else the first
+    record outside the sensor, else the first polarity not in {-1, +1}.
+    Given T, returns the segment numbers t // T of the non-empty segments,
+    ascending, and the offsets where they start.
+    """
+    geometry_error = polarity_error = None
+    keys, starts = [np.zeros(0, np.uint64)], [np.zeros(0, np.intp)]
+    for lo in range(0, len(source), SCAN_BLOCK):
+        block = source[lo : lo + SCAN_BLOCK]
+        t = block["t"]
+        if lo and t[0] < prev_t:
+            raise StreamOrderError(lo)
+        inv = np.flatnonzero(t[1:] < t[:-1])
+        if inv.size:
+            raise StreamOrderError(lo + int(inv[0]) + 1)
+        prev_t = t[-1]
+        # a bad record is remembered until the order check has seen them all
+        if geometry_error is None:
+            bad = np.flatnonzero((block["x"] >= geometry.width) | (block["y"] >= geometry.height))
+            if bad.size:
+                j = int(bad[0])
+                geometry_error = GeometryError(
+                    f"event {lo + j} at ({block['x'][j]}, {block['y'][j]}) outside "
+                    f"{geometry.width}x{geometry.height} sensor"
+                )
+        if polarity_error is None:
+            bad = np.flatnonzero((block["p"] != 1) & (block["p"] != -1))
+            if bad.size:
+                polarity_error = FormatError(
+                    f"event {lo + int(bad[0])} has polarity {block['p'][bad[0]]}, not -1 or +1"
+                )
+        if segment_duration_us is not None:
+            key = t // np.uint64(segment_duration_us)
+            new = np.flatnonzero(key[1:] != key[:-1]) + 1
+            if not lo or key[0] != prev_key:
+                new = np.concatenate(([0], new))
+            keys.append(key[new])
+            starts.append(new + lo)
+            prev_key = key[-1]
+        # freed before the next block is read, which can then reuse their memory
+        block = t = key = None
+    if geometry_error or polarity_error:
+        raise geometry_error or polarity_error
+    return np.concatenate(keys), np.concatenate(starts)
+
+
+def validate_stream(events, geometry: SensorGeometry) -> None:
     """Reject unsorted streams, out-of-geometry coordinates and polarities not in {-1, +1}."""
-    t = events["t"]
-    inv = np.flatnonzero(t[1:] < t[:-1])
-    if inv.size:
-        raise StreamOrderError(int(inv[0]) + 1)
-    bad = np.flatnonzero((events["x"] >= geometry.width) | (events["y"] >= geometry.height))
-    if bad.size:
-        j = int(bad[0])
-        e = events[j]
-        raise GeometryError(
-            f"event {j} at ({int(e['x'])}, {int(e['y'])}) outside "
-            f"{geometry.width}x{geometry.height} sensor"
+    _scan(events, geometry)
+
+
+def iter_segments(
+    source,
+    geometry: SensorGeometry,
+    config: SegmentConfig,
+    num_segments: int | None = None,
+    first_index: int = 1,
+) -> tuple[int, Iterator[EventSegment]]:
+    """:func:`segment_stream` that fetches one segment at a time.
+
+    ``source`` is checked in full, one block of records at a time, before
+    this returns the count of dropped events and a generator of the
+    segments: slices ``source[lo:hi]``, so views of a record array.
+    """
+    if first_index < 1:
+        raise ValueError("first_index must be >= 1")
+    T = config.segment_duration_us
+    keys, starts = _scan(source, geometry, T)
+    n = len(source)
+    q0 = first_index - 1  # segment number t // T of the first segment
+    if num_segments is None:
+        num_segments = max(1, (int(keys[-1]) if n else 0) + 1 - q0)
+    if num_segments < 1:
+        raise ValueError("num_segments must be >= 1")
+    if num_segments > MAX_SEGMENTS:
+        raise SegmentCountError(
+            f"{num_segments} segments of {T}us: an INTF file holds at most {MAX_SEGMENTS} frames"
         )
-    p = events["p"]
-    bad = np.flatnonzero((p != 1) & (p != -1))
-    if bad.size:
-        raise FormatError(f"event {bad[0]} has polarity {p[bad[0]]}, not -1 or +1")
+    # offsets[j] is where the j-th non-empty segment starts, and ends the one before
+    offsets = np.append(starts, n)
+    first, last = np.searchsorted(keys, [q0, q0 + num_segments])
+
+    def segments():
+        j = int(first)
+        for q in range(q0, q0 + num_segments):
+            lo = int(offsets[j])
+            if j < last and keys[j] == q:
+                j += 1
+            yield EventSegment(index=q + 1, events=source[lo : int(offsets[j])])
+
+    return n - int(offsets[last] - offsets[first]), segments()
 
 
 def segment_stream(
@@ -127,25 +223,11 @@ def segment_stream(
 
     Returns the M segments covering [(first_index-1)*T, (first_index-1+M)*T)
     and the count of dropped events: those outside that window. M defaults
-    to running through the last event, with at least one segment.
+    to running through the last event, with at least one segment, and may
+    not exceed ``MAX_SEGMENTS``.
     """
-    if first_index < 1:
-        raise ValueError("first_index must be >= 1")
-    validate_stream(events, geometry)
-    T = config.segment_duration_us
-    if num_segments is None:
-        t_end = int(events["t"][-1]) if events.shape[0] else 0
-        num_segments = max(1, t_end // T + 2 - first_index)
-    if num_segments < 1:
-        raise ValueError("num_segments must be >= 1")
-    boundaries = np.arange(first_index - 1, first_index + num_segments, dtype=np.uint64) * T
-    splits = np.searchsorted(events["t"], boundaries, side="left")
-    segments = [
-        EventSegment(index=first_index + i, events=events[splits[i] : splits[i + 1]])
-        for i in range(num_segments)
-    ]
-    dropped = events.shape[0] - int(splits[-1] - splits[0])
-    return segments, dropped
+    dropped, segments = iter_segments(events, geometry, config, num_segments, first_index)
+    return list(segments), dropped
 
 
 def bin_edges(segment: EventSegment, config: SegmentConfig) -> np.ndarray:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import struct
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +33,71 @@ def write_evt1(path, events: np.ndarray, geometry: SensorGeometry) -> None:
         fh.write(np.ascontiguousarray(events, dtype=EVENT_DTYPE).tobytes())
 
 
-def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
-    """Read an EVT1 file, holding the records in memory once.
+def _version(fh) -> tuple[int, int, int]:
+    st = os.fstat(fh.fileno())
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
-    Only the framing is checked here; the records are checked by
-    :func:`evprep.events.segment_stream`, as text-file records are.
+
+@dataclass(frozen=True)
+class EVT1Records:
+    """The records of an EVT1 file, read on demand: ``len()`` is their
+    count, and ``[lo:hi]`` reads those records into a new array.
+
+    Records checked in one read are trusted in the next, so a read of a
+    file that changed since :func:`open_evt1` raises FormatError.
+    """
+
+    path: str
+    count: int
+    version: tuple[int, int, int]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        lo, hi, step = key.indices(self.count)
+        if step != 1:
+            raise ValueError("EVT1 records are read in contiguous slices")
+        with open(self.path, "rb") as fh:
+            if _version(fh) != self.version:
+                raise FormatError(f"{self.path}: file changed while it was read")
+            fh.seek(_EVT1_HEADER.size + lo * EVENT_DTYPE.itemsize)
+            return np.fromfile(fh, dtype=EVENT_DTYPE, count=max(0, hi - lo))
+
+
+def open_evt1(path) -> tuple[EVT1Records, SensorGeometry]:
+    """Check an EVT1 file's framing and return its records, unread.
+
+    The header's count must equal the number of whole 13-byte records that
+    follow it. The records themselves are checked by whoever segments them,
+    as text-file records are.
     """
     with open(path, "rb") as fh:
         header = fh.read(_EVT1_HEADER.size)
-        if len(header) < _EVT1_HEADER.size:
-            raise FormatError(f"{path}: truncated EVT1 header")
-        magic, width, height, _, _hint = _EVT1_HEADER.unpack(header)
-        if magic != EVT1_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected EVT1")
-        payload = os.fstat(fh.fileno()).st_size - _EVT1_HEADER.size
-        count, rest = divmod(payload, EVENT_DTYPE.itemsize)
-        if rest:
-            raise FormatError(f"{path}: event payload not a whole number of records")
-        events = np.fromfile(fh, dtype=EVENT_DTYPE, count=count)
-    return events, SensorGeometry(width, height)
+        version = _version(fh)
+    payload = version[1] - _EVT1_HEADER.size
+    if len(header) < _EVT1_HEADER.size:
+        raise FormatError(f"{path}: truncated EVT1 header")
+    magic, width, height, _, hint = _EVT1_HEADER.unpack(header)
+    if magic != EVT1_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected EVT1")
+    count, rest = divmod(payload, EVENT_DTYPE.itemsize)
+    if rest:
+        raise FormatError(f"{path}: event payload not a whole number of records")
+    if hint != count:
+        raise FormatError(f"{path}: header counts {hint} events, payload holds {count}")
+    return EVT1Records(os.fspath(path), count, version), SensorGeometry(width, height)
+
+
+def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
+    """Read all records of an EVT1 file into one array.
+
+    Only the framing is checked here, by :func:`open_evt1`; the records are
+    checked by :func:`evprep.events.segment_stream`. `evprep intensity`
+    reads a file through :func:`open_evt1` instead, one block at a time.
+    """
+    records, geometry = open_evt1(path)
+    return records[:], geometry
 
 
 def read_text_events(path) -> np.ndarray:

@@ -28,7 +28,7 @@ from evprep.events import (
     SegmentConfig,
     SensorGeometry,
     bin_edges,
-    segment_stream,
+    iter_segments,
     validate_stream,
 )
 
@@ -218,7 +218,7 @@ def _update_adaptive_segment(
 
 
 def iter_sequence(
-    events: np.ndarray,
+    events,
     geometry: SensorGeometry,
     seg_config: SegmentConfig,
     int_config: IntensityConfig,
@@ -227,10 +227,12 @@ def iter_sequence(
 ) -> tuple[IntensityState, Iterator[np.ndarray]]:
     """Drive the configured estimator over whole segments, one at a time.
 
-    The stream and configs are checked, and the stream segmented, before
-    this returns. It returns the state and a generator that, per segment,
-    advances the state in place, sets its clock to the segment's end and
-    yields a float32 frame snapshot. A ``resume`` state continues with the
+    ``events`` is a record array or a source read in slices, such as
+    :func:`evprep.formats.open_evt1`'s. The configs and every record are
+    checked, and the segments located, before this returns. It returns the
+    state and a generator that, per segment, fetches its events, advances
+    the state in place, sets its clock to the segment's end and yields a
+    float32 frame snapshot. A ``resume`` state continues with the
     segment starting at its clock, which must be a multiple of T, whichever
     T saved it: a split run is bit-identical to a single combined run.
     """
@@ -255,12 +257,12 @@ def iter_sequence(
             f"the segment duration {T}us"
         )
     first_index = state.last_update_time_us // T + 1
-    segments, _ = segment_stream(events, geometry, seg_config, num_segments, first_index)
+    _, segments = iter_segments(events, geometry, seg_config, num_segments, first_index)
 
     def frames():
         for seg in segments:
             if int_config.method is Method.PER_EVENT_DECAY:
-                # segment_stream has validated the stream, and each segment
+                # iter_segments has validated the stream, and each segment
                 # starts at or after the clock
                 if seg.num_events:
                     _per_event_decay_fill(state, seg.events)

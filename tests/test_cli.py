@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evprep import events as events_module
 from evprep.cli import main
 from evprep.formats import read_evt1, read_intf, write_evt1
 from evprep.events import make_events
@@ -168,23 +169,28 @@ def test_intensity_adaptive(evt1, tmp_path):
     assert geo == SensorGeometry(32, 16)
 
 
-def test_intensity_matches_library(evt1, tmp_path):
+def test_intensity_matches_library(evt1, tmp_path, monkeypatch):
     from evprep import IntensityConfig, Method, SegmentConfig, run_sequence
     from evprep.formats import write_intf
 
     events, geo = read_evt1(evt1)
     for method in Method:
-        out = tmp_path / f"{method.value}.intf"
         library = tmp_path / f"{method.value}-library.intf"
-        assert main(["intensity", str(evt1), "-o", str(out), "--method", method.value,
-                     "--segment-ms", "10", "--bins", "2", "--segments", "10"]) == 0
         _, expected = run_sequence(
             events, geo, SegmentConfig(10_000, 2),
             IntensityConfig(method, bin_duration_us=5000),
             num_segments=10,
         )
-        assert len(read_intf(out)[0]) == write_intf(library, expected, geo) == 10
-        assert out.read_bytes() == library.read_bytes()
+        assert write_intf(library, expected, geo) == 10
+        # the CLI reads the file in blocks of this many records: one block, or many
+        for block in (events_module.SCAN_BLOCK, 7):
+            monkeypatch.setattr(events_module, "SCAN_BLOCK", block)
+            out = tmp_path / f"{method.value}-{block}.intf"
+            assert main(["intensity", str(evt1), "-o", str(out), "--method", method.value,
+                         "--segment-ms", "10", "--bins", "2", "--segments", "10"]) == 0
+            assert len(read_intf(out)[0]) == 10
+            assert out.read_bytes() == library.read_bytes()
+        monkeypatch.undo()
 
 
 def test_resume_split_equals_single(evt1, tmp_path):
@@ -229,6 +235,46 @@ def test_intensity_memory_flat_in_segments(tmp_path, method):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 4 * 2**20, peaks
+
+
+@pytest.mark.parametrize("method", ["decay", "adaptive"])
+def test_intensity_memory_flat_in_events(tmp_path, method):
+    # the EVT1 input is read one block of records at a time: N and 8N events
+    # (8 times the segments, each as full) differ by 23 MiB of records
+    n = events_module.SCAN_BLOCK
+    peaks = []
+    for events in (n, 8 * n):
+        evt1 = tmp_path / f"{events}.evt1"
+        i = np.arange(events)
+        write_evt1(evt1, make_events(i * 10_000 // n, i % 64, i // 64 % 48, 1 - 2 * (i % 2)),
+                   SensorGeometry(64, 48))
+        del i
+        argv = ["intensity", str(evt1), "-o", str(tmp_path / "frames.intf"), "--method",
+                method, "--segment-ms", "1.25", "--bins", "5"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        evt1.unlink()
+    assert len(read_intf(tmp_path / "frames.intf")[0]) == 64
+    assert abs(peaks[1] - peaks[0]) < 4 * 2**20, peaks
+
+
+@pytest.mark.parametrize("flags", [[], ["--segments", str(10**12)]])
+def test_intensity_too_many_segments_exit_2(tmp_path, capsys, flags):
+    # 2**62 us at 50 ms is 9.2e13 segments; an INTF file counts frames in a u32
+    evt1 = tmp_path / "far.evt1"
+    write_evt1(evt1, make_events([0, 2**62], [0, 1], [0, 1], [1, -1]), SensorGeometry(4, 4))
+    out = tmp_path / "frames.intf"
+    assert main(["intensity", str(evt1), "-o", str(out), *flags]) == 2
+    segments = flags[1] if flags else "92233720368548"
+    assert capsys.readouterr().err == (
+        f"evprep: error: {segments} segments of 50000us: "
+        "an INTF file holds at most 4294967295 frames\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,10 @@ from evprep import (
     segment_stream,
     signed_bin_accumulation,
 )
-from evprep.errors import FormatError, GeometryError, StreamOrderError
-from evprep.events import EventSegment, make_events, validate_stream
+from evprep import events as events_module
+from evprep.errors import EvprepError, FormatError, GeometryError, StreamOrderError
+from evprep.events import EventSegment, iter_segments, make_events, validate_stream
+from evprep.formats import open_evt1, write_evt1
 
 GEO = SensorGeometry(16, 12)
 CFG = SegmentConfig(50_000, 10)
@@ -302,3 +307,139 @@ def test_build_flatten_deterministic(rng):
     a = flatten_histogram(build_histogram(seg, GEO, CFG))
     b = flatten_histogram(build_histogram(seg, GEO, CFG))
     assert np.array_equal(a, b)
+
+
+def oracle_validate_stream(events, geometry):
+    """validate_stream as it was before the block scan: whole-column passes."""
+    t = events["t"]
+    inv = np.flatnonzero(t[1:] < t[:-1])
+    if inv.size:
+        raise StreamOrderError(int(inv[0]) + 1)
+    bad = np.flatnonzero((events["x"] >= geometry.width) | (events["y"] >= geometry.height))
+    if bad.size:
+        j = int(bad[0])
+        e = events[j]
+        raise GeometryError(
+            f"event {j} at ({int(e['x'])}, {int(e['y'])}) outside "
+            f"{geometry.width}x{geometry.height} sensor"
+        )
+    p = events["p"]
+    bad = np.flatnonzero((p != 1) & (p != -1))
+    if bad.size:
+        raise FormatError(f"event {bad[0]} has polarity {p[bad[0]]}, not -1 or +1")
+
+
+def oracle_segment_stream(events, geometry, config, num_segments=None, first_index=1):
+    """segment_stream as it was before the block scan: one search of the whole `t` column."""
+    oracle_validate_stream(events, geometry)
+    T = config.segment_duration_us
+    if num_segments is None:
+        t_end = int(events["t"][-1]) if events.shape[0] else 0
+        num_segments = max(1, t_end // T + 2 - first_index)
+    boundaries = np.arange(first_index - 1, first_index + num_segments, dtype=np.uint64) * T
+    splits = np.searchsorted(events["t"], boundaries, side="left")
+    segments = [
+        EventSegment(index=first_index + i, events=events[splits[i] : splits[i + 1]])
+        for i in range(num_segments)
+    ]
+    return segments, events.shape[0] - int(splits[-1] - splits[0])
+
+
+SMALL = SegmentConfig(1000, 4)
+
+
+@st.composite
+def sparse_streams(draw):
+    """Sorted valid streams over up to 12 segments of SMALL, with repeated
+    timestamps, events on segment edges and runs of empty segments."""
+    n = draw(st.integers(0, 40))
+    times = st.one_of(st.integers(0, 11_999), st.integers(0, 12).map(lambda k: k * 1000))
+    return make_events(
+        sorted(draw(st.lists(times, min_size=n, max_size=n))),
+        draw(st.lists(st.integers(0, GEO.width - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, GEO.height - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+    )
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@given(
+    events=sparse_streams(),
+    num_segments=st.one_of(st.none(), st.integers(1, 15)),
+    first_index=st.integers(1, 14),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_scan_segments_match_whole_stream(block, events, num_segments, first_index):
+    expected, expected_dropped = oracle_segment_stream(events, GEO, SMALL, num_segments, first_index)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events_module, "SCAN_BLOCK", block)
+        path = Path(tmp) / "stream.evt1"
+        write_evt1(path, events, GEO)
+        records, _ = open_evt1(path)
+        segs, dropped = segment_stream(events, GEO, SMALL, num_segments, first_index)
+        file_dropped, file_segs = iter_segments(records, GEO, SMALL, num_segments, first_index)
+        file_segs = list(file_segs)
+    assert dropped == file_dropped == expected_dropped
+    assert len(segs) == len(file_segs) == len(expected)
+    for seg, from_file, want in zip(segs, file_segs, expected):
+        assert seg.index == from_file.index == want.index
+        assert seg.events.base is events or seg.events is events  # a view, not a copy
+        assert seg.events.tobytes() == from_file.events.tobytes() == want.events.tobytes()
+
+
+BAD_RECORDS = ("inversion", "outside", "polarity")
+
+
+def spoil(events, kind, i):
+    """Make record i an inversion, a record outside the sensor or a bad polarity."""
+    if kind == "inversion":
+        events["t"][i] = events["t"][i - 1] - 1
+    elif kind == "outside":
+        events["x"][i] = GEO.width
+    else:
+        events["p"][i] = 0
+
+
+def ordered_events(n):
+    return make_events(np.arange(n) * 10 + 5, np.arange(n) % GEO.width, np.zeros(n), np.ones(n))
+
+
+def assert_same_error(events, block):
+    with pytest.raises(EvprepError) as want:
+        oracle_validate_stream(events, GEO)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events_module, "SCAN_BLOCK", block)
+        for check in (
+            lambda: validate_stream(events, GEO),
+            lambda: segment_stream(events, GEO, SMALL),
+            lambda: build_histogram(EventSegment(1, events), GEO, SegmentConfig(10_000, 2)),
+        ):
+            with pytest.raises(EvprepError) as got:
+                check()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kind", BAD_RECORDS)
+@pytest.mark.parametrize("at", [3, 4, 5, 7, 8, 9])
+def test_bad_record_at_block_edge(kind, at):
+    # blocks of 4 records: events 4 and 8 start a block, 3 and 7 end one
+    events = ordered_events(12)
+    spoil(events, kind, at)
+    assert_same_error(events, block=4)
+
+
+@given(
+    n=st.integers(2, 30),
+    faults=st.lists(st.tuples(st.sampled_from(BAD_RECORDS), st.integers(1, 29)),
+                    min_size=1, max_size=3),
+    block=st.sampled_from([1, 2, 3, 7]),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_scan_error_precedence(n, faults, block):
+    # the first inversion anywhere beats any record outside the sensor,
+    # which beats any bad polarity, wherever the blocks split the stream
+    events = ordered_events(n)
+    for kind, i in faults:
+        spoil(events, kind, i % (n - 1) + 1)
+    assert_same_error(events, block)

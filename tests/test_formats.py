@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from evprep.cli import main
 from evprep.events import EVENT_DTYPE, SegmentConfig, make_events, segment_stream
 from evprep.formats import (
     load_state,
+    open_evt1,
     read_evt1,
     read_intf,
     read_text_events,
@@ -53,6 +56,47 @@ def test_evt1_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(FormatError, match="records"):
         read_evt1(path)
+
+
+@pytest.mark.parametrize("hint, records", [(3, 2), (2, 3), (0, 3)])
+def test_evt1_count_hint_must_match_payload(tmp_path, capsys, hint, records):
+    # a file cut at a record boundary, or with records appended
+    path = tmp_path / "hint.evt1"
+    write_evt1(path, make_events(range(3), [0] * 3, [0] * 3, [1] * 3)[:records], GEO)
+    raw = bytearray(path.read_bytes())
+    raw[12:16] = hint.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    message = f"{path}: header counts {hint} events, payload holds {records}"
+    for read in (read_evt1, open_evt1):
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == message
+    assert main(["intensity", str(path), "-o", str(tmp_path / "o.intf")]) == 2
+    assert capsys.readouterr().err == f"evprep: error: {message}\n"
+    assert not (tmp_path / "o.intf").exists()
+
+
+def test_evt1_records_read_in_slices(tmp_path, rng):
+    n = 50
+    ev = make_events(np.arange(n), rng.integers(0, GEO.width, n), rng.integers(0, GEO.height, n),
+                     rng.choice([-1, 1], n))
+    path = tmp_path / "stream.evt1"
+    write_evt1(path, ev, GEO)
+    records, geometry = open_evt1(path)
+    assert geometry == GEO and len(records) == n
+    for lo, hi in [(0, n), (0, 0), (7, 8), (13, 40), (45, 99), (-5, None), (30, 10)]:
+        assert records[lo:hi].tobytes() == ev[lo:hi].tobytes()
+    with pytest.raises(ValueError, match="contiguous"):
+        records[::2]
+    raw = bytearray(path.read_bytes())
+    raw[16 + 13 * 20] ^= 1  # the file is rewritten in place after it was opened
+    path.write_bytes(bytes(raw))
+    os.utime(path, ns=(0, 0))  # a clock too coarse to tell the writes apart
+    with pytest.raises(FormatError, match="changed while it was read"):
+        records[10:30]
+    path.write_bytes(bytes(raw[: 16 + 13 * 20]))  # or cut short
+    with pytest.raises(FormatError, match="changed while it was read"):
+        records[0:5]
 
 
 def assert_records_checked_downstream(tmp_path, capsys, events, error, message):
