@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from evprep.events import SegmentConfig, SensorGeometry, build_histogram, make_events, segment_stream
+from evprep.events import SegmentConfig, SensorGeometry, build_histogram, segment_stream
 from evprep.intensity import IntensityConfig, Method, iter_sequence
 
 
@@ -39,17 +39,3 @@ def bench_adaptive(
     for _ in frames:
         pass
     return n / (time.perf_counter() - start)
-
-
-def synthetic_events(
-    n: int, geometry: SensorGeometry, duration_us: int, seed: int = 0
-) -> np.ndarray:
-    """Uniform random sorted stream for benchmarking."""
-    rng = np.random.default_rng(seed)
-    t = np.sort(rng.integers(0, duration_us, size=n))
-    return make_events(
-        t,
-        rng.integers(0, geometry.width, size=n),
-        rng.integers(0, geometry.height, size=n),
-        rng.choice(np.array([-1, 1], dtype=np.int8), size=n),
-    )

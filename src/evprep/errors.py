@@ -22,7 +22,7 @@ class GeometryError(EvprepError):
 
 
 class FormatError(EvprepError):
-    """Raised on malformed input files (EVT1, INTF, TUBE, scene files)."""
+    """Raised on malformed input files (EVT1, INTF, TUBE, TOYP, state and scene files)."""
 
 
 class TrainingDivergedError(EvprepError):

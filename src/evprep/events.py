@@ -88,10 +88,6 @@ class StageHistogram:
     counts: np.ndarray
     clip_max: int | None = None
 
-    @property
-    def num_bins(self) -> int:
-        return self.counts.shape[1]
-
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -175,12 +171,12 @@ def iter_segments(
     config: SegmentConfig,
     num_segments: int | None = None,
     first_index: int = 1,
-) -> tuple[int, Iterator[EventSegment]]:
+) -> tuple[Iterator[EventSegment], int]:
     """:func:`segment_stream` that fetches one segment at a time.
 
     ``source`` is checked in full, one block of records at a time, before
-    this returns the count of dropped events and a generator of the
-    segments: slices ``source[lo:hi]``, so views of a record array.
+    this returns a generator of the segments, slices ``source[lo:hi]`` (so
+    views of a record array), and the count of dropped events.
     """
     if first_index < 1:
         raise ValueError("first_index must be >= 1")
@@ -208,7 +204,7 @@ def iter_segments(
                 j += 1
             yield EventSegment(index=q + 1, events=source[lo : int(offsets[j])])
 
-    return n - int(offsets[last] - offsets[first]), segments()
+    return segments(), n - int(offsets[last] - offsets[first])
 
 
 def segment_stream(
@@ -226,7 +222,7 @@ def segment_stream(
     to running through the last event, with at least one segment, and may
     not exceed ``MAX_SEGMENTS``.
     """
-    dropped, segments = iter_segments(events, geometry, config, num_segments, first_index)
+    segments, dropped = iter_segments(events, geometry, config, num_segments, first_index)
     return list(segments), dropped
 
 
@@ -293,6 +289,6 @@ def flatten_histogram(hist: StageHistogram) -> np.ndarray:
 
 def signed_bin_accumulation(hist: StageHistogram, tau: int) -> np.ndarray:
     """Positive minus negative count image for one temporal bin (unclipped)."""
-    if not 0 <= tau < hist.num_bins:
-        raise IndexError(f"bin {tau} out of range [0, {hist.num_bins})")
+    if not 0 <= tau < hist.counts.shape[1]:
+        raise IndexError(f"bin {tau} out of range [0, {hist.counts.shape[1]})")
     return hist.counts[1, tau] - hist.counts[0, tau]

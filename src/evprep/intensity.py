@@ -257,7 +257,7 @@ def iter_sequence(
             f"the segment duration {T}us"
         )
     first_index = state.last_update_time_us // T + 1
-    _, segments = iter_segments(events, geometry, seg_config, num_segments, first_index)
+    segments, _ = iter_segments(events, geometry, seg_config, num_segments, first_index)
 
     def frames():
         for seg in segments:

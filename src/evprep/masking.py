@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -11,6 +10,8 @@ import numpy as np
 from evprep.errors import FormatError, GeometryError
 
 TUBE_MAGIC = b"TUBE"
+# variance floor of the MAE normalized-pixel target (He et al., arXiv 2111.06377)
+EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,6 @@ class PatchGrid:
     def num_patches(self) -> int:
         return self.grid_h * self.grid_w
 
-    @property
-    def pad_h(self) -> int:
-        return self.grid_h * self.patch_size - self.height
-
-    @property
-    def pad_w(self) -> int:
-        return self.grid_w * self.patch_size - self.width
-
     def masked_patches(self, ratio: float) -> int:
         """Patches a tube mask of this ratio covers: round(ratio * K), halves up."""
         return int(np.floor(ratio * self.num_patches + 0.5))
@@ -68,7 +61,6 @@ class TubeMask:
     """A spatial patch mask shared by every stage and bin of a sequence."""
 
     masked: np.ndarray
-    ratio: float
     rng_seed: int
 
     @property
@@ -100,7 +92,7 @@ def sample_tube_mask(grid: PatchGrid, ratio: float, seed: int) -> TubeMask:
     chosen = rng.permutation(K)[: grid.masked_patches(ratio)]
     masked = np.zeros(K, dtype=bool)
     masked[chosen] = True
-    return TubeMask(masked=masked.reshape(grid.grid_h, grid.grid_w), ratio=ratio, rng_seed=seed)
+    return TubeMask(masked=masked.reshape(grid.grid_h, grid.grid_w), rng_seed=seed)
 
 
 def apply_mask(tensor: np.ndarray, mask: TubeMask, grid: PatchGrid) -> np.ndarray:
@@ -119,10 +111,8 @@ def apply_mask(tensor: np.ndarray, mask: TubeMask, grid: PatchGrid) -> np.ndarra
     return out
 
 
-def normalize_patches(
-    target: np.ndarray, grid: PatchGrid, epsilon: float = 1e-6
-) -> np.ndarray:
-    """Standardize each patch with its own mean and variance.
+def normalize_patches(target: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Standardize each patch with its own mean and variance, plus ``EPSILON``.
 
     Edge patches that extend past the frame use only their real pixels.
     Full patches are standardized together as the rows of a contiguous
@@ -132,8 +122,6 @@ def normalize_patches(
     contiguous row. Patches larger than the buffer (``np.getbufsize()``
     elements) and frames not stored row-major take a per-patch loop.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if target.shape != (grid.height, grid.width):
         raise GeometryError(
             f"target shape {target.shape} does not match grid "
@@ -146,14 +134,14 @@ def normalize_patches(
     full = target[: rows * P, : cols * P].reshape(rows, P, cols, P).swapaxes(1, 2)
     full = full.reshape(rows, cols, P * P)
     mean = full.mean(axis=-1, keepdims=True)
-    std = np.sqrt(full.var(axis=-1, keepdims=True) + epsilon)
+    std = np.sqrt(full.var(axis=-1, keepdims=True) + EPSILON)
     blocks = out[: rows * P, : cols * P].reshape(rows, P, cols, P).swapaxes(1, 2)
     np.divide((full - mean).reshape(blocks.shape), std[..., None], out=blocks)
     for row in range(grid.grid_h):
         for col in range(cols if row < rows else 0, grid.grid_w):
             sl = grid.patch_slices(row, col)
             patch = target[sl]
-            out[sl] = (patch - patch.mean()) / np.sqrt(patch.var() + epsilon)
+            out[sl] = (patch - patch.mean()) / np.sqrt(patch.var() + EPSILON)
     return out
 
 
@@ -168,7 +156,8 @@ def deserialize_mask(blob: bytes) -> TubeMask:
     if len(blob) < 12 or blob[:4] != TUBE_MAGIC:
         raise FormatError("not a TUBE mask blob")
     gw, gh, seed = struct.unpack("<HHI", blob[4:12])
-    bits = np.unpackbits(np.frombuffer(blob[12:], dtype=np.uint8), count=gh * gw)
-    masked = bits.astype(bool).reshape(gh, gw)
-    ratio = float(masked.sum()) / masked.size
-    return TubeMask(masked=masked, ratio=ratio, rng_seed=seed)
+    payload, expected = np.frombuffer(blob[12:], dtype=np.uint8), -(-gh * gw // 8)
+    if payload.size != expected:
+        raise FormatError(f"TUBE payload of {payload.size} bytes, expected {expected}")
+    bits = np.unpackbits(payload, count=gh * gw)
+    return TubeMask(masked=bits.astype(bool).reshape(gh, gw), rng_seed=seed)

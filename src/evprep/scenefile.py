@@ -27,48 +27,65 @@ INI-style key-value sections::
 from __future__ import annotations
 
 import configparser
+import math
+import re
+from contextlib import contextmanager
 
-from evprep.errors import FormatError
+from evprep.errors import FormatError, GeometryError
 from evprep.events import SensorGeometry
 from evprep.simulate import MovingDisc, NoiseSpec, SceneSpec
 
 
-def _get(section, key, cast, where):
-    if key not in section:
-        raise FormatError(f"{where}: missing key '{key}'")
+def _get(section, key, cast, default=None):
+    """``cast`` of the key's value; a key without a default is required."""
+    if key not in section and default is None:
+        raise ValueError(f"missing key '{key}'")
     try:
-        return cast(section[key])
-    except ValueError as exc:
-        raise FormatError(f"{where}: key '{key}': {exc}") from exc
+        return cast(section[key]) if key in section else default
+    except (ValueError, configparser.InterpolationError) as exc:
+        raise ValueError(f"key '{key}': {exc}") from exc
 
 
-def _parse_knots(text: str, where: str) -> list[tuple[int, float, float]]:
-    knots = []
-    for item in text.split():
+def _entries(form: str, *casts):
+    """Cast for whitespace-separated entries of ``form``: ``t:cx,cy`` or ``x,y,p,rate``."""
+    pattern = re.compile(re.sub(r"\w+", "([^:,]*)", form))
+
+    def entry(item: str) -> tuple:
+        match = pattern.fullmatch(item)
         try:
-            t_part, xy_part = item.split(":")
-            cx, cy = xy_part.split(",")
-            knots.append((int(t_part), float(cx), float(cy)))
-        except ValueError as exc:
-            raise FormatError(
-                f"{where}: key 'knots': bad entry '{item}' (want t:cx,cy)"
-            ) from exc
-    if not knots:
-        raise FormatError(f"{where}: key 'knots': no entries")
-    return knots
+            if not match:
+                raise ValueError
+            return tuple(cast(v) for cast, v in zip(casts, match.groups()))
+        except ValueError:
+            raise ValueError(f"bad entry '{item}' (want {form})") from None
+
+    return lambda text: [entry(item) for item in text.split()]
 
 
-def _parse_hot_pixels(text: str, where: str) -> list[tuple[int, int, int, float]]:
-    pixels = []
-    for item in text.split():
-        try:
-            x, y, p, rate = item.split(",")
-            pixels.append((int(x), int(y), int(p), float(rate)))
-        except ValueError as exc:
-            raise FormatError(
-                f"{where}: key 'hot_pixels': bad entry '{item}' (want x,y,p,rate)"
-            ) from exc
-    return pixels
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text}") from None
+
+
+@contextmanager
+def _section(parser, name: str, section: str):
+    """Yield ``parser[section]``. A missing section, or a bad value met while
+    the caller builds from it, is a FormatError naming the file and section."""
+    if section not in parser:
+        raise FormatError(f"{name}: missing [{section}] section")
+    try:
+        yield parser[section]
+    except (ValueError, GeometryError) as exc:
+        raise FormatError(f"{name} [{section}]: {exc}") from exc
 
 
 def parse_scene_text(text: str, name: str = "<scene>") -> tuple[SceneSpec, NoiseSpec | None]:
@@ -78,52 +95,40 @@ def parse_scene_text(text: str, name: str = "<scene>") -> tuple[SceneSpec, Noise
     except configparser.Error as exc:
         raise FormatError(str(exc)) from exc
 
-    for required in ("geometry", "scene"):
-        if required not in parser:
-            raise FormatError(f"{name}: missing [{required}] section")
-
-    geo_sec = parser["geometry"]
-    geometry = SensorGeometry(
-        _get(geo_sec, "width", int, f"{name} [geometry]"),
-        _get(geo_sec, "height", int, f"{name} [geometry]"),
-    )
-    sc = parser["scene"]
-    where = f"{name} [scene]"
+    with _section(parser, name, "geometry") as sec:
+        geometry = SensorGeometry(_get(sec, "width", int), _get(sec, "height", int))
     discs = []
     for sec_name in parser.sections():
         if not sec_name.startswith("disc"):
             continue
-        dsec = parser[sec_name]
-        dwhere = f"{name} [{sec_name}]"
-        discs.append(
-            MovingDisc(
-                knots=_parse_knots(_get(dsec, "knots", str, dwhere), dwhere),
-                radius=_get(dsec, "radius", float, dwhere),
-                logintensity=_get(dsec, "logintensity", float, dwhere),
+        with _section(parser, name, sec_name) as sec:
+            discs.append(
+                MovingDisc(
+                    knots=_get(sec, "knots", _entries("t:cx,cy", int, _finite, _finite)),
+                    radius=_get(sec, "radius", _finite),
+                    logintensity=_get(sec, "logintensity", _finite),
+                )
             )
-        )
-    try:
+    with _section(parser, name, "scene") as sec:
         scene = SceneSpec(
             geometry=geometry,
-            background_logintensity=_get(sc, "background", float, where),
+            background_logintensity=_get(sec, "background", _finite),
             objects=discs,
-            duration_us=_get(sc, "duration_us", int, where),
-            threshold=_get(sc, "threshold", float, where),
-            sample_interval_us=_get(sc, "sample_interval_us", int, where),
+            duration_us=_get(sec, "duration_us", int),
+            threshold=_get(sec, "threshold", _finite),
+            sample_interval_us=_get(sec, "sample_interval_us", int),
         )
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
 
     noise = None
     if "noise" in parser:
-        nsec = parser["noise"]
-        nwhere = f"{name} [noise]"
-        noise = NoiseSpec(
-            hot_pixels=_parse_hot_pixels(nsec.get("hot_pixels", ""), nwhere),
-            background_rate=float(nsec.get("background_rate", "0")),
-            rng_seed=int(nsec.get("seed", "0")),
-            deterministic=nsec.getboolean("deterministic", fallback=False),
-        )
+        with _section(parser, name, "noise") as sec:
+            hot_pixels = _entries("x,y,p,rate", int, int, int, _finite)
+            noise = NoiseSpec(
+                hot_pixels=_get(sec, "hot_pixels", hot_pixels, []),
+                background_rate=_get(sec, "background_rate", _finite, 0.0),
+                rng_seed=_get(sec, "seed", int, 0),
+                deterministic=_get(sec, "deterministic", _boolean, False),
+            )
     return scene, noise
 
 

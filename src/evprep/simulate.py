@@ -29,6 +29,8 @@ class MovingDisc:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("disc radius must be positive")
+        if not self.knots:
+            raise ValueError("disc needs at least one knot")
         times = [k[0] for k in self.knots]
         if times != sorted(times):
             raise ValueError("disc knots must be sorted by time")
@@ -83,6 +85,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
+        if self.duration_us < 0 or self.sample_interval_us <= 0:
+            raise ValueError("duration must be >= 0 and sample_interval positive")
         if self.duration_us % self.sample_interval_us != 0:
             raise ValueError("sample_interval must divide duration")
 
@@ -132,14 +136,7 @@ def _hot_pixel_events(noise: NoiseSpec, duration_us: int, rng) -> list[np.ndarra
                 more = rng.exponential(1e6 / rate, size=16)
                 times = np.concatenate([times, times[-1] + np.cumsum(more)])
             times = times[times <= duration_us].astype(np.uint64)
-        streams.append(
-            make_events(
-                times,
-                np.full(times.shape, x),
-                np.full(times.shape, y),
-                np.full(times.shape, p),
-            )
-        )
+        streams.append(make_events(times, x, y, p))
     return streams
 
 

@@ -77,10 +77,6 @@ def init_model(config: ToyModelConfig) -> ToyModelState:
     return ToyModelState(config=config, params=params)
 
 
-def reset_memory(state: ToyModelState) -> None:
-    state.memory = None
-
-
 def _patchify(tensor: np.ndarray, P: int) -> np.ndarray:
     """(C, H, W) -> (K, C*P*P) with zero padding to P-divisible dims."""
     C, H, W = tensor.shape
@@ -131,7 +127,7 @@ def forward_stage(state: ToyModelState, masked_input: np.ndarray) -> np.ndarray:
 
 def forward_sequence(state: ToyModelState, inputs: list[np.ndarray]) -> list[np.ndarray]:
     """Fresh-memory forward pass over a whole sequence."""
-    reset_memory(state)
+    state.memory = None
     return [forward_stage(state, x) for x in inputs]
 
 
@@ -160,7 +156,7 @@ def backward_sequence(
     if n_masked_pix == 0:
         raise ValueError("mask is empty")
 
-    reset_memory(state)
+    state.memory = None
     cache = []
     predictions = []
     for x in inputs:
@@ -221,12 +217,12 @@ def deserialize_params(blob: bytes) -> ToyModelState:
     if len(blob) < 11 or blob[:4] != PARAM_MAGIC:
         raise FormatError("not a toy-model parameter blob")
     P, D, C, rec = struct.unpack("<HHHB", blob[4:11])
-    cfg = ToyModelConfig(patch_size=P, embed_dim=D, in_channels=C, recurrent=bool(rec))
-    state = init_model(cfg)
-    vec = np.frombuffer(blob[11:], dtype="<f8")
-    expected = flatten_params(state.params).size
-    if vec.size != expected:
-        raise FormatError(f"parameter blob holds {vec.size} values, expected {expected}")
+    # embed (C*P*P, D), rec_c and rec_f (D, D), rec_bias (D,), decode (D, P*P)
+    size = 8 * D * (C * P * P + 2 * D + 1 + P * P)
+    if D < 1 or len(blob) - 11 != size:
+        raise FormatError(f"TOYP payload of {len(blob) - 11} bytes, expected {size} (embed {D})")
+    state = init_model(ToyModelConfig(P, D, C, recurrent=bool(rec)))
+    vec = np.frombuffer(blob, dtype="<f8", offset=11)
     state.params = unflatten_params(vec.astype(np.float64), state.params)
     return state
 

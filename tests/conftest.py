@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from evprep import MovingDisc, SceneSpec, SensorGeometry, masked_mse, normalize_patches
+from evprep import MovingDisc, SceneSpec, SensorGeometry, make_events, masked_mse, normalize_patches
 
 
 def disc_scene(
@@ -124,6 +124,18 @@ def sequence_loss(predictions, targets, mask, grid) -> MaskedLossReport:
         loss=float(np.mean(per_stage)),
         masked_patch_count=mask.num_masked,
         per_stage_losses=per_stage,
+    )
+
+
+def synthetic_events(n, geometry, duration_us, seed=0):
+    """Uniform random sorted stream for benchmarking."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.integers(0, duration_us, size=n))
+    return make_events(
+        t,
+        rng.integers(0, geometry.width, size=n),
+        rng.integers(0, geometry.height, size=n),
+        rng.choice(np.array([-1, 1], dtype=np.int8), size=n),
     )
 
 

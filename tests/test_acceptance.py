@@ -31,7 +31,7 @@ from evprep import (
     update_adaptive_batch,
     update_per_event,
 )
-from evprep.bench import bench_histogram, synthetic_events
+from evprep.bench import bench_histogram
 from evprep.events import build_histogram, make_events, signed_bin_accumulation
 from evprep.formats import write_intf
 from evprep.masking import serialize_mask
@@ -43,7 +43,7 @@ from evprep.toymodel import (
     train_toy,
     unflatten_params,
 )
-from conftest import freeze_scene, training_scene
+from conftest import freeze_scene, synthetic_events, training_scene
 
 
 def _passed(n, msg):

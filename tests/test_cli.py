@@ -57,6 +57,16 @@ def test_corrupt_scene_exit_2(tmp_path, capsys):
     assert "width" in capsys.readouterr().err
 
 
+def test_bad_scene_value_names_file_and_section(tmp_path, capsys):
+    scene = tmp_path / "bad.scene"
+    text = (SCENES / "noisy_disc.scene").read_text()
+    scene.write_text(text.replace("hot_pixels = 2,2,1,500", "hot_pixels = 2,2,2,500"))
+    assert main(["simulate", str(scene), "-o", str(tmp_path / "x.evt1")]) == 2
+    err = capsys.readouterr().err
+    assert f"{scene} [noise]: hot pixel polarity must be -1 or +1" in err
+    assert not (tmp_path / "x.evt1").exists()
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])

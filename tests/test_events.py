@@ -377,7 +377,7 @@ def test_block_scan_segments_match_whole_stream(block, events, num_segments, fir
         write_evt1(path, events, GEO)
         records, _ = open_evt1(path)
         segs, dropped = segment_stream(events, GEO, SMALL, num_segments, first_index)
-        file_dropped, file_segs = iter_segments(records, GEO, SMALL, num_segments, first_index)
+        file_segs, file_dropped = iter_segments(records, GEO, SMALL, num_segments, first_index)
         file_segs = list(file_segs)
     assert dropped == file_dropped == expected_dropped
     assert len(segs) == len(file_segs) == len(expected)

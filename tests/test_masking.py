@@ -82,12 +82,6 @@ def test_mask_from_another_grid_rejected():
         apply_mask(np.zeros((3, 16, 32)), mask, grid)
 
 
-@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-6])
-def test_normalize_rejects_bad_epsilon(epsilon):
-    with pytest.raises(ValueError, match="epsilon"):
-        normalize_patches(np.ones((GRID.height, GRID.width)), GRID, epsilon=epsilon)
-
-
 def test_normalize_constant_patch_is_zero():
     target = np.full((GRID.height, GRID.width), 7.0)
     out = normalize_patches(target, GRID)
@@ -97,7 +91,7 @@ def test_normalize_constant_patch_is_zero():
 def test_normalize_two_value_patch():
     grid = PatchGrid(patch_size=2, height=2, width=2)
     target = np.array([[0.0, 2.0], [0.0, 2.0]])
-    out = normalize_patches(target, grid, epsilon=1e-12)
+    out = normalize_patches(target, grid)
     np.testing.assert_allclose(out, [[-1.0, 1.0], [-1.0, 1.0]], atol=1e-6)
 
 
@@ -122,7 +116,6 @@ def test_normalize_stats(rng):
 def test_padding_grid_geometry():
     grid = PatchGrid(patch_size=32, height=40, width=70)
     assert (grid.grid_h, grid.grid_w) == (2, 3)
-    assert (grid.pad_h, grid.pad_w) == (24, 26)
     # edge patches use only real pixels
     target = np.ones((40, 70))
     out = normalize_patches(target, grid)
@@ -141,3 +134,15 @@ def test_mask_serialization_roundtrip(seed, ratio):
 def test_deserialize_rejects_garbage():
     with pytest.raises(FormatError):
         deserialize_mask(b"NOPE" + b"\x00" * 16)
+
+
+def test_deserialize_checks_payload_length():
+    """A 4x8 grid packs into exactly 4 bytes after the 12-byte header."""
+    grid = PatchGrid(patch_size=4, height=16, width=32)
+    blob = serialize_mask(sample_tube_mask(grid, 0.5, seed=3))
+    assert len(blob) == 16
+    for length in range(12, len(blob)):
+        with pytest.raises(FormatError, match=f"payload of {length - 12} bytes, expected 4"):
+            deserialize_mask(blob[:length])
+    with pytest.raises(FormatError, match="payload of 5 bytes, expected 4"):
+        deserialize_mask(blob + b"\x00")

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evprep import simulate_events
 from evprep.errors import FormatError
@@ -25,6 +27,7 @@ def test_noise_section():
     assert noise is not None
     assert noise.hot_pixels == [(2, 2, 1, 500.0)]
     assert noise.background_rate == 1.0
+    assert noise.rng_seed == 7
     assert noise.deterministic
 
 
@@ -66,3 +69,79 @@ def test_bad_knot_entry():
 def test_missing_file():
     with pytest.raises(FormatError):
         load_scene("/nonexistent/path.scene")
+
+
+VALID = """\
+[geometry]
+width = 32
+height = 16
+
+[scene]
+background = 0.0
+threshold = 1.0
+duration_us = 1000
+sample_interval_us = 100
+
+[disc1]
+radius = 2.5
+logintensity = 1.5
+knots = 0:4,8 1000:28,8
+
+[noise]
+hot_pixels = 2,2,1,500
+background_rate = 1.0
+seed = 7
+deterministic = true
+"""
+
+
+def with_value(key, value):
+    """VALID with ``key``'s value replaced."""
+    lines = VALID.splitlines()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+def test_valid_text_parses():
+    scene, noise = parse_scene_text(VALID)
+    assert scene.objects[0].knots == [(0, 4.0, 8.0), (1000, 28.0, 8.0)]
+    assert noise.hot_pixels == [(2, 2, 1, 500.0)]
+
+
+@pytest.mark.parametrize(
+    "key, value, section",
+    [
+        ("radius", "0", "disc1"),
+        ("radius", "nan", "disc1"),
+        ("knots", "1000:4,8 0:28,8", "disc1"),
+        ("knots", "0:4,inf", "disc1"),
+        ("knots", "", "disc1"),
+        ("hot_pixels", "2,2,2,500", "noise"),
+        ("hot_pixels", "2,2:1,500", "noise"),
+        ("hot_pixels", "2,2,1,inf", "noise"),
+        ("background_rate", "abc", "noise"),
+        ("seed", "x", "noise"),
+        ("deterministic", "maybe", "noise"),
+        ("sample_interval_us", "0", "scene"),
+        ("duration_us", "-1000", "scene"),
+        ("threshold", "nan", "scene"),
+        ("background", "5%", "scene"),
+        ("width", "0", "geometry"),
+    ],
+)
+def test_malformed_value_names_file_and_section(key, value, section):
+    with pytest.raises(FormatError) as exc:
+        parse_scene_text(with_value(key, value), name="bad.scene")
+    assert str(exc.value).startswith(f"bad.scene [{section}]: ")
+
+
+KEYS = [line.split(" =")[0] for line in VALID.splitlines() if " = " in line]
+
+
+@given(st.sampled_from(KEYS), st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))))
+@settings(max_examples=300, deadline=None)
+def test_any_value_parses_or_names_its_section(key, value):
+    try:
+        parse_scene_text(with_value(key, value), name="fuzz.scene")
+    except FormatError as exc:
+        assert str(exc).startswith("fuzz.scene [")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from evprep.toymodel import (
     forward_sequence,
     forward_stage,
     init_model,
-    reset_memory,
     serialize_params,
     unflatten_params,
 )
@@ -163,3 +164,17 @@ def test_param_blob_roundtrip():
 def test_param_blob_rejects_garbage():
     with pytest.raises(FormatError):
         deserialize_params(b"XXXX" + b"\x00" * 32)
+
+
+def test_param_blob_checks_payload_length():
+    blob = serialize_params(init_model(small_config()))
+    for cut in (blob[:-3], blob[:-8], blob[:11], blob + b"\x00" * 8):
+        with pytest.raises(FormatError, match="TOYP payload"):
+            deserialize_params(cut)
+
+
+def test_param_blob_header_is_checked_before_allocating():
+    # embed 0, and a header whose model would hold about 10**19 values
+    for dims in ((4, 0, 5), (65535, 65535, 65535)):
+        with pytest.raises(FormatError, match="TOYP payload"):
+            deserialize_params(b"TOYP" + struct.pack("<HHHB", *dims, 1))
