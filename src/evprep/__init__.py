@@ -45,7 +45,6 @@ from evprep.simulate import (
     MovingDisc,
     NoiseSpec,
     SceneSpec,
-    oracle_intensity,
     render_logintensity,
     simulate_events,
     swept_region,

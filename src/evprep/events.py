@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,17 +80,28 @@ class EventSegment:
 
 @dataclass
 class StageHistogram:
-    """Per-segment (2, B, H, W) polarity/bin/pixel event counts.
+    """Per-segment polarity/bin/pixel event counts, kept as the cells with events.
 
-    Plane 0 counts negative events, plane 1 positive. ``clip_max`` only
-    affects the flattened model-input tensor; the raw counts stay exact.
+    ``cells`` are the ascending flat indices into the (2, B, H, W) array of
+    ``shape`` of the cells with at least one event, ``cell_counts`` their
+    counts. Plane 0 counts negative events, plane 1 positive. ``clip_max``
+    only affects the flattened model-input tensor; the raw counts stay exact.
     """
 
-    counts: np.ndarray
+    shape: tuple[int, int, int, int]
+    cells: np.ndarray
+    cell_counts: np.ndarray
     clip_max: int | None = None
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.cell_counts.sum())
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The dense int64 (2, B, H, W) counts, built on first read."""
+        counts = np.zeros(self.shape, dtype=np.int64)
+        counts.reshape(-1)[self.cells] = self.cell_counts
+        return counts
 
 
 # Records per block of the stream scan: 3.4 MB of records, plus a 2 MB
@@ -265,10 +277,26 @@ def build_histogram(
     B, H, W = config.bins_per_segment, geometry.height, geometry.width
     ev = segment.events
     validate_stream(ev, geometry)
-    tau = np.repeat(np.arange(B, dtype=np.intp), np.diff(bin_edges(segment, config)))
-    flat = (((ev["p"] > 0) * B + tau) * H + ev["y"]) * W + ev["x"]
-    counts = np.bincount(flat, minlength=2 * B * H * W).reshape(2, B, H, W)
-    return StageHistogram(counts=counts, clip_max=clip_max)
+    edges = bin_edges(segment, config)
+    # the flat index ((polarity * B + bin) * H + y) * W + x, built in place:
+    # one array of n, where the bins as an np.repeat array would be a second
+    key = (ev["p"] > 0).astype(np.intp)
+    key *= B
+    for tau in range(1, B):
+        key[edges[tau] : edges[tau + 1]] += tau
+    key *= H
+    key += ev["y"]
+    key *= W
+    key += ev["x"]
+    key.sort()
+    # each run of equal keys is one cell; bounds holds the runs' starts, then n
+    new_run = np.empty(key.size + 1, dtype=bool)
+    new_run[0] = new_run[-1] = True
+    np.not_equal(key[1:], key[:-1], out=new_run[1:-1])
+    bounds = np.flatnonzero(new_run)
+    return StageHistogram(
+        shape=(2, B, H, W), cells=key[bounds[:-1]], cell_counts=np.diff(bounds), clip_max=clip_max
+    )
 
 
 def flatten_histogram(hist: StageHistogram) -> np.ndarray:
@@ -277,18 +305,17 @@ def flatten_histogram(hist: StageHistogram) -> np.ndarray:
     Channel k = polarity_index * B + bin. Saturates at ``clip_max`` when
     set, then casts to float32.
     """
-    two, B, H, W = hist.counts.shape
-    counts = hist.counts.reshape(two * B, H, W)
-    if hist.clip_max is None:
-        return counts.astype(np.float32)
-    # numpy runs the int64 loop and casts each buffered chunk into the float32
-    # output: the values of clip-then-cast without a full-size int64 temporary
-    out = np.empty(counts.shape, dtype=np.float32)
-    return np.minimum(counts, hist.clip_max, out=out, casting="unsafe")
+    two, B, H, W = hist.shape
+    out = np.zeros((two * B, H, W), dtype=np.float32)
+    counts = hist.cell_counts
+    if hist.clip_max is not None:
+        counts = np.minimum(counts, hist.clip_max)
+    out.reshape(-1)[hist.cells] = counts
+    return out
 
 
 def signed_bin_accumulation(hist: StageHistogram, tau: int) -> np.ndarray:
     """Positive minus negative count image for one temporal bin (unclipped)."""
-    if not 0 <= tau < hist.counts.shape[1]:
-        raise IndexError(f"bin {tau} out of range [0, {hist.counts.shape[1]})")
+    if not 0 <= tau < hist.shape[1]:
+        raise IndexError(f"bin {tau} out of range [0, {hist.shape[1]})")
     return hist.counts[1, tau] - hist.counts[0, tau]

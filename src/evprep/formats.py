@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from evprep.errors import FormatError, GeometryError
-from evprep.events import EVENT_DTYPE, SensorGeometry, make_events
+from evprep.events import EVENT_DTYPE, SensorGeometry
 from evprep.intensity import IntensityConfig, IntensityState, Method
 
 EVT1_MAGIC = b"EVT1"
@@ -100,9 +101,11 @@ def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
     return records[:], geometry
 
 
-def read_text_events(path) -> np.ndarray:
-    """One event per line: `t x y p`, whitespace-separated, p in {-1, 1}."""
-    ts, xs, ys, ps = [], [], [], []
+# parsed lines held as Python tuples before they go into the record array
+TEXT_BLOCK = 4096
+
+
+def _parse_text_lines(path) -> Iterator[tuple[int, int, int, int]]:
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -119,11 +122,20 @@ def read_text_events(path) -> np.ndarray:
                 raise FormatError(f"{path}:{lineno}: polarity must be -1 or 1, got {p}")
             if not (0 <= t < 2**64 and 0 <= x < 2**16 and 0 <= y < 2**16):
                 raise FormatError(f"{path}:{lineno}: t, x or y out of range: {line!r}")
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            ps.append(p)
-    return make_events(ts, xs, ys, ps)
+            yield t, x, y, p
+
+
+def read_text_events(path) -> np.ndarray:
+    """One event per line: `t x y p`, whitespace-separated, p in {-1, 1}."""
+    parsed = _parse_text_lines(path)
+    events = np.empty(TEXT_BLOCK, dtype=EVENT_DTYPE)
+    n = 0
+    while block := list(islice(parsed, TEXT_BLOCK)):
+        if n + len(block) > events.shape[0]:
+            events = np.resize(events, 2 * events.shape[0])
+        events[n : n + len(block)] = block
+        n += len(block)
+    return events[:n].copy()
 
 
 def write_intf(path, frames: Iterable[np.ndarray], geometry: SensorGeometry) -> int:

@@ -202,19 +202,6 @@ def simulate_events(scene: SceneSpec, noise: NoiseSpec | None = None) -> np.ndar
     return _canonical_sort(np.concatenate(chunks))
 
 
-def oracle_intensity(scene: SceneSpec, times_us: list[int]) -> list[np.ndarray]:
-    """Exact mean-centered log-intensity frames at the requested times.
-
-    Mean-centering because event integration recovers intensity only up
-    to an additive constant.
-    """
-    frames = []
-    for t in times_us:
-        frame = render_logintensity(scene, t)
-        frames.append(frame - frame.mean())
-    return frames
-
-
 def swept_region(scene: SceneSpec, t0_us: int, t1_us: int) -> np.ndarray:
     """Pixels covered by any disc at any sample time in [t0, t1], as
     :func:`render_logintensity` covers them."""

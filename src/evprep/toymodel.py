@@ -63,16 +63,26 @@ def _uniform(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def param_shapes(config: ToyModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each weight, in PARAM_ORDER."""
+    D = config.embed_dim
+    return {
+        "embed": (config.n_in, D),
+        "rec_c": (D, D),
+        "rec_f": (D, D),
+        "rec_bias": (D,),
+        "decode": (D, config.n_out),
+    }
+
+
 def init_model(config: ToyModelConfig) -> ToyModelState:
     """Seeded uniform init, scale 1/sqrt(fan_in) per map."""
     rng = np.random.default_rng(config.seed)
     D = config.embed_dim
+    # the recurrent maps and bias take [c_prev, f], 2D inputs
+    fan_in = {"embed": config.n_in, "decode": D}
     params = {
-        "embed": _uniform(rng, config.n_in, (config.n_in, D)),
-        "rec_c": _uniform(rng, 2 * D, (D, D)),
-        "rec_f": _uniform(rng, 2 * D, (D, D)),
-        "rec_bias": _uniform(rng, 2 * D, (D,)),
-        "decode": _uniform(rng, D, (D, config.n_out)),
+        k: _uniform(rng, fan_in.get(k, 2 * D), shape) for k, shape in param_shapes(config).items()
     }
     return ToyModelState(config=config, params=params)
 
@@ -195,12 +205,14 @@ def flatten_params(params: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate([params[k].reshape(-1) for k in PARAM_ORDER])
 
 
-def unflatten_params(vec: np.ndarray, template: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def unflatten_params(vec: np.ndarray, template: dict) -> dict[str, np.ndarray]:
+    """Split ``vec`` into copies shaped as ``template``'s values: arrays, or shapes."""
     out = {}
     off = 0
     for k in PARAM_ORDER:
-        size = template[k].size
-        out[k] = vec[off : off + size].reshape(template[k].shape).copy()
+        shape = getattr(template[k], "shape", template[k])
+        size = int(np.prod(shape))
+        out[k] = vec[off : off + size].reshape(shape).copy()
         off += size
     return out
 
@@ -221,10 +233,9 @@ def deserialize_params(blob: bytes) -> ToyModelState:
     size = 8 * D * (C * P * P + 2 * D + 1 + P * P)
     if D < 1 or len(blob) - 11 != size:
         raise FormatError(f"TOYP payload of {len(blob) - 11} bytes, expected {size} (embed {D})")
-    state = init_model(ToyModelConfig(P, D, C, recurrent=bool(rec)))
-    vec = np.frombuffer(blob, dtype="<f8", offset=11)
-    state.params = unflatten_params(vec.astype(np.float64), state.params)
-    return state
+    config = ToyModelConfig(P, D, C, recurrent=bool(rec))
+    vec = np.frombuffer(blob, dtype="<f8", offset=11).astype(np.float64)
+    return ToyModelState(config=config, params=unflatten_params(vec, param_shapes(config)))
 
 
 def build_training_data(

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from evprep import events as events_module
 from evprep.errors import EvprepError, FormatError, GeometryError, StreamOrderError
 from evprep.events import EventSegment, iter_segments, make_events, validate_stream
 from evprep.formats import open_evt1, write_evt1
+
+from conftest import synthetic_events
 
 GEO = SensorGeometry(16, 12)
 CFG = SegmentConfig(50_000, 10)
@@ -293,6 +296,64 @@ def binned_segments(draw):
 def test_histogram_matches_floor_oracle(case):
     seg, cfg = case
     assert np.array_equal(build_histogram(seg, GEO, cfg).counts, floor_oracle(seg, GEO, cfg))
+
+
+xs = st.integers(0, GEO.width - 1)
+ys = st.integers(0, GEO.height - 1)
+ps = st.sampled_from([-1, 1])
+
+
+@st.composite
+def edge_segments(draw):
+    """A segment at the edges of the cell list: empty, one event, every
+    event on one cell, or every event in the last bin."""
+    bins = draw(st.integers(1, 6))
+    cfg = SegmentConfig(bins * draw(st.integers(1, 9)), bins)
+    index = draw(st.integers(1, 4))
+    start, d = (index - 1) * cfg.segment_duration_us, cfg.bin_duration_us
+    kind = draw(st.sampled_from(["empty", "one event", "one cell", "last bin"]))
+    n = {"empty": 0, "one event": 1}.get(kind, draw(st.integers(2, 60)))
+    times, x, y, p = st.integers(start, start + bins * d - 1), xs, ys, ps
+    if kind == "one cell":
+        k = draw(st.integers(0, bins - 1))
+        times = st.integers(start + k * d, start + (k + 1) * d - 1)
+        x, y, p = (st.just(draw(s)) for s in (xs, ys, ps))
+    elif kind == "last bin":
+        times = st.integers(start + (bins - 1) * d, start + bins * d - 1)
+    events = make_events(
+        sorted(draw(st.lists(times, min_size=n, max_size=n))),
+        *(draw(st.lists(s, min_size=n, max_size=n)) for s in (x, y, p)),
+    )
+    return EventSegment(index, events), cfg
+
+
+@given(edge_segments())
+@settings(max_examples=150, deadline=None)
+def test_compact_histogram_edge_segments(case):
+    seg, cfg = case
+    hist = build_histogram(seg, GEO, cfg)
+    assert np.array_equal(hist.counts, floor_oracle(seg, GEO, cfg))
+    assert hist.total() == seg.num_events
+    assert (np.diff(hist.cells) > 0).all()
+    assert (hist.cell_counts >= 1).all()
+
+
+def test_histogram_memory_stays_compact():
+    # one 250k-event segment at 640x480, B = 10: a dense int64 (2, B, H, W)
+    # histogram alone would be 47 MiB, and its float32 flattening 23 MiB
+    geo = SensorGeometry(640, 480)
+    seg = EventSegment(1, synthetic_events(250_000, geo, CFG.segment_duration_us, seed=4))
+    tracemalloc.start()
+    try:
+        hist = build_histogram(seg, geo, CFG, clip_max=10)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        flat = flatten_histogram(hist)
+        chain_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.total() == seg.num_events and flat.max() <= 10
+    assert build_peak < 16 * 2**20, build_peak
+    assert chain_peak < 40 * 2**20, chain_peak
 
 
 def test_build_flatten_deterministic(rng):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from evprep.formats import (
     write_intf,
     write_pgm,
 )
+
+from conftest import synthetic_events
 
 GEO = SensorGeometry(32, 24)
 
@@ -153,6 +156,23 @@ def test_text_events_out_of_range(tmp_path, line):
     path.write_text(f"10 3 4 1\n{line}\n")
     with pytest.raises(FormatError, match=":2: .*out of range"):
         read_text_events(path)
+
+
+def test_text_events_memory(tmp_path):
+    # 200k events are 2.5 MiB of records; as four lists of Python ints they were 21.6 MiB
+    n = 200_000
+    ev = synthetic_events(n, SensorGeometry(640, 480), 10**7, seed=1)
+    path = tmp_path / "events.txt"
+    with open(path, "w") as fh:
+        fh.writelines(f"{t} {x} {y} {p}\n" for t, x, y, p in ev.tolist())
+    tracemalloc.start()
+    try:
+        back = read_text_events(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, ev)
+    assert peak < 8 * 2**20, peak
 
 
 def test_intf_roundtrip(tmp_path, rng):

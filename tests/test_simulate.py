@@ -6,7 +6,6 @@ from evprep import (
     NoiseSpec,
     SceneSpec,
     SensorGeometry,
-    oracle_intensity,
     render_logintensity,
     simulate_events,
     swept_region,
@@ -126,6 +125,19 @@ def test_hot_pixel_outside_geometry_rejected(scene):
 
     with pytest.raises(GeometryError):
         simulate_events(scene, NoiseSpec(hot_pixels=[(99, 0, 1, 10.0)]))
+
+
+def oracle_intensity(scene: SceneSpec, times_us: list[int]) -> list[np.ndarray]:
+    """Exact mean-centered log-intensity frames at the requested times.
+
+    Mean-centering because event integration recovers intensity only up
+    to an additive constant.
+    """
+    frames = []
+    for t in times_us:
+        frame = render_logintensity(scene, t)
+        frames.append(frame - frame.mean())
+    return frames
 
 
 def test_oracle_single_time(scene):
