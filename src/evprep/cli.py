@@ -103,27 +103,12 @@ def _int_config(args) -> IntensityConfig:
     )
 
 
-def _print_config(payload: dict):
-    print(json.dumps(payload, indent=2, default=str))
-
-
 def cmd_simulate(args) -> int:
     scene, noise = load_scene(args.scene)
     if args.no_noise:
         noise = None
     events = simulate_events(scene, noise)
     write_evt1(args.output, events, scene.geometry)
-    if args.print_config:
-        _print_config(
-            {
-                "geometry": f"{scene.geometry.width}x{scene.geometry.height}",
-                "threshold": scene.threshold,
-                "duration_us": scene.duration_us,
-                "sample_interval_us": scene.sample_interval_us,
-                "discs": len(scene.objects),
-                "noise": noise is not None,
-            }
-        )
     print(f"wrote {events.shape[0]} events to {args.output}")
     return EXIT_OK
 
@@ -157,19 +142,6 @@ def cmd_intensity(args) -> int:
     count = write_intf(args.output, frames, geometry)
     if args.save_state:
         save_state(args.save_state, state)
-    if args.print_config:
-        _print_config(
-            {
-                "geometry": f"{geometry.width}x{geometry.height}",
-                "method": int_config.method.value,
-                "segment_duration_us": seg_config.segment_duration_us,
-                "bins_per_segment": seg_config.bins_per_segment,
-                "alpha_per_s": int_config.alpha_per_s,
-                "threshold": int_config.threshold,
-                "normalizer": int_config.normalizer,
-                "segments": count,
-            }
-        )
     print(f"wrote {count} frames to {args.output}")
     return EXIT_OK
 
@@ -254,7 +226,6 @@ def build_parser() -> _Parser:
     p.add_argument("scene")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--no-noise", action="store_true", help="drop the scene's noise section")
-    p.add_argument("--print-config", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("intensity", help="estimate the pseudo-grayscale video")
@@ -268,7 +239,6 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", help="state file from a previous --save-state run")
     p.add_argument("--save-state", help="write resumable state here")
     p.add_argument("--pgm-dir", help="also write 8-bit PGM previews")
-    p.add_argument("--print-config", action="store_true")
     p.set_defaults(func=cmd_intensity)
 
     p = sub.add_parser("report", help="trail-energy table for an INTF frame stack")

@@ -7,7 +7,6 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -101,10 +100,6 @@ def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
     return records[:], geometry
 
 
-# parsed lines held as Python tuples before they go into the record array
-TEXT_BLOCK = 4096
-
-
 def _parse_text_lines(path) -> Iterator[tuple[int, int, int, int]]:
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -127,15 +122,7 @@ def _parse_text_lines(path) -> Iterator[tuple[int, int, int, int]]:
 
 def read_text_events(path) -> np.ndarray:
     """One event per line: `t x y p`, whitespace-separated, p in {-1, 1}."""
-    parsed = _parse_text_lines(path)
-    events = np.empty(TEXT_BLOCK, dtype=EVENT_DTYPE)
-    n = 0
-    while block := list(islice(parsed, TEXT_BLOCK)):
-        if n + len(block) > events.shape[0]:
-            events = np.resize(events, 2 * events.shape[0])
-        events[n : n + len(block)] = block
-        n += len(block)
-    return events[:n].copy()
+    return np.fromiter(_parse_text_lines(path), dtype=EVENT_DTYPE)
 
 
 def write_intf(path, frames: Iterable[np.ndarray], geometry: SensorGeometry) -> int:
@@ -210,7 +197,7 @@ def save_state(path, state: IntensityState) -> None:
 
 def load_state(path) -> IntensityState:
     """Read a ``save_state`` file, ignoring extra arrays; a missing or
-    malformed one is a FormatError."""
+    malformed one, or a value no run could have saved, is a FormatError."""
     try:
         data = np.load(path)
         config = IntensityConfig(
@@ -237,4 +224,11 @@ def load_state(path) -> IntensityState:
                 f"{path}: {name} is {array.dtype} {array.shape}, "
                 f"expected {np.dtype(dtype)} {shape}"
             )
+    clock = state.last_update_time_us
+    if clock < 0:
+        raise FormatError(f"{path}: last_update_time_us is {clock}, expected >= 0")
+    if not np.isfinite(state.frame).all():
+        raise FormatError(f"{path}: frame holds non-finite values")
+    if state.last_event_t_us.min() < 0 or state.last_event_t_us.max() > clock:
+        raise FormatError(f"{path}: last_event_t_us lies outside [0, {clock}], the clock")
     return state

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from evprep import events as events_module
-from evprep.cli import main
+from evprep.cli import build_parser, main
 from evprep.formats import read_evt1, read_intf, write_evt1
 from evprep.events import make_events
 from evprep import SensorGeometry
@@ -35,6 +36,18 @@ def test_simulate_matches_library_call(evt1):
     scene, _ = load_scene(SCENES / "disc.scene")
     events, _ = read_evt1(evt1)
     assert np.array_equal(events, simulate_events(scene))
+
+
+def test_simulate_no_noise_drops_noise_section(tmp_path):
+    from evprep import simulate_events
+    from evprep.scenefile import load_scene
+
+    scene, noise = load_scene(SCENES / "noisy_disc.scene")
+    out = tmp_path / "clean.evt1"
+    assert main(["simulate", str(SCENES / "noisy_disc.scene"), "-o", str(out), "--no-noise"]) == 0
+    events, _ = read_evt1(out)
+    assert np.array_equal(events, simulate_events(scene, None))
+    assert events.shape[0] < simulate_events(scene, noise).shape[0]
 
 
 def test_simulate_static_scene(tmp_path):
@@ -98,6 +111,8 @@ def test_usage_error_exit_1(capsys):
         ("--geometry", "0x8"),
         ("--geometry", "8x-2"),
         ("--geometry", "70000x10"),
+        # too large for a float: math.isfinite raises OverflowError
+        pytest.param("--bins", "9" * 400, id="--bins-400-digits"),
     ],
 )
 def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
@@ -403,6 +418,16 @@ def test_pretrain_toy_smoke(tmp_path, capsys):
     assert params.read_bytes()[:4] == b"TOYP"
 
 
+@pytest.mark.parametrize("flags, recurrent", [([], 1), (["--feedforward"], 0)])
+def test_pretrain_toy_feedforward_params(tmp_path, flags, recurrent):
+    params = tmp_path / "model.toyp"
+    argv = ["pretrain-toy", str(SCENES / "disc.scene"), "-o", str(tmp_path / "curve.txt"),
+            "--steps", "1", "--params", str(params)]
+    assert main(argv + flags) == 0
+    blob = params.read_bytes()
+    assert blob[:4] == b"TOYP" and blob[10] == recurrent
+
+
 def test_pretrain_toy_diverged_exit_2(tmp_path, capsys):
     curve = tmp_path / "curve.txt"
     argv = ["pretrain-toy", str(SCENES / "disc.scene"), "-o", str(curve),
@@ -438,6 +463,14 @@ def test_bench_reports_rates(evt1, capsys):
         ("adaptive", "frame", np.zeros((8, 8), dtype=np.int64)),
         ("decay", "last_event_t_us", np.zeros((2, 2), dtype=np.int64)),
         ("decay", "last_update_time_us", None),
+        ("adaptive", "normalizer", np.int64(0)),
+        # each of these resumed with exit 0 and wrote non-finite frames, or
+        # failed with a message that did not name the field
+        ("adaptive", "frame", np.full((8, 8), np.nan)),
+        ("adaptive", "frame", np.full((8, 8), np.inf)),
+        ("decay", "last_event_t_us", np.full((8, 8), 10**12, dtype=np.int64)),
+        ("decay", "last_event_t_us", np.full((8, 8), -1, dtype=np.int64)),
+        ("decay", "last_update_time_us", np.int64(-50_000)),
     ],
 )
 def test_resume_bad_state_exit_2(tmp_path, capsys, method, name, value):
@@ -458,3 +491,18 @@ def test_resume_bad_state_exit_2(tmp_path, capsys, method, name, value):
     assert main(argv + ["-o", str(out), "--resume", str(state)]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_option_has_a_test():
+    """Each option of each subcommand appears, quoted, in some test file."""
+    sources = "".join(path.read_text() for path in Path(__file__).parent.glob("*.py"))
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    untested = [
+        f"{name} {action.option_strings[-1]}"
+        for name, command in commands.choices.items()
+        for action in command._actions
+        if action.option_strings
+        and not isinstance(action, argparse._HelpAction)
+        and not any(f'"{s}"' in sources or f"'{s}'" in sources for s in action.option_strings)
+    ]
+    assert untested == []

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from evprep.formats import (
 from conftest import synthetic_events
 
 GEO = SensorGeometry(32, 24)
+SCENE = str(Path(__file__).resolve().parent.parent / "scenes" / "disc.scene")
 
 
 def test_event_record_is_13_bytes():
@@ -175,6 +177,32 @@ def test_text_events_memory(tmp_path):
     assert peak < 8 * 2**20, peak
 
 
+@pytest.mark.parametrize(
+    "data, reader, message, command",
+    [
+        (b"EVT1\x20\x00", read_evt1, ": truncated EVT1 header", ["intensity", "-o", "o.intf"]),
+        (b"INTF\x20\x00", read_intf, ": truncated INTF header", ["report", SCENE]),
+        (b"NOPE" + bytes(8), read_intf, ": bad magic b'NOPE', expected INTF", ["report", SCENE]),
+        (
+            b"10 3 4 1\n20 x 6 -1\n",
+            read_text_events,
+            ":2: invalid literal for int() with base 10: 'x'",
+            ["intensity", "-o", "o.intf", "--geometry", "32x16"],
+        ),
+    ],
+)
+def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, data, reader, message, command):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}{message}"
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], str(path)] + command[1:]) == 2
+    assert capsys.readouterr().err == f"evprep: error: {path}{message}\n"
+    assert not (tmp_path / "o.intf").exists()
+
+
 def test_intf_roundtrip(tmp_path, rng):
     frames = [rng.normal(size=(GEO.height, GEO.width)).astype(np.float32) for _ in range(4)]
     path = tmp_path / "frames.intf"
@@ -287,6 +315,9 @@ def test_evt1_records_validated(tmp_path, capsys):
         ("frame", np.zeros(6)),
         ("last_event_t_us", np.zeros((2, 2), dtype=np.int64)),
         ("last_event_t_us", np.zeros((2, 3))),
+        ("frame", np.full((2, 3), np.nan)),
+        ("last_update_time_us", np.int64(-1)),
+        ("last_event_t_us", np.ones((2, 3), dtype=np.int64)),  # past the clock, 0
     ],
 )
 def test_load_state_checks_arrays(tmp_path, name, value):

@@ -89,6 +89,28 @@ def test_non_finite_config_rejected(kw):
         decay_cfg(**kw)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: decay_cfg(normalizer=0), "normalizer must be positive", id="normalizer"),
+        pytest.param(
+            lambda: decay_cfg(bin_duration_us=0), "bin duration must be positive", id="bin-duration"
+        ),
+        pytest.param(
+            lambda: run_sequence(
+                make_events([], [], [], []), GEO, SEG, adaptive_cfg(bin_duration_us=4000)
+            ),
+            "adaptive bin duration must equal the segment config's T/B",
+            id="adaptive-bin-duration",
+        ),
+    ],
+)
+def test_bad_config_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("num_segments", [0, -3])
 def test_run_sequence_rejects_non_positive_segment_count(num_segments):
     with pytest.raises(ValueError, match="num_segments"):

@@ -14,6 +14,8 @@ from evprep import (
     trail_energy,
 )
 
+from evprep.errors import GeometryError
+
 from conftest import sequence_loss
 
 GRID = PatchGrid(patch_size=4, height=16, width=16)
@@ -104,6 +106,23 @@ def test_depth_roundtrip():
     d = np.linspace(cfg.d_min, cfg.d_max, 1000)
     back = denormalize_depth(normalize_depth(d, cfg), cfg)
     np.testing.assert_allclose(back, d, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: masked_mse(np.zeros((16, 16)), np.zeros((16, 15)), MASK, GRID),
+                     GeometryError, "prediction/target shape mismatch", id="shape"),
+        pytest.param(lambda: DepthConfig(d_max=0.0), ValueError,
+                     "d_max and alpha must be positive", id="d_max"),
+        pytest.param(lambda: DepthConfig(alpha=-1.0), ValueError,
+                     "d_max and alpha must be positive", id="alpha"),
+    ],
+)
+def test_bad_arguments_rejected(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_depth_rejects_nonpositive():

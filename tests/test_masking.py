@@ -72,6 +72,23 @@ def test_apply_shape_mismatch():
         apply_mask(np.zeros((3, 8, 8)), sample_tube_mask(GRID, 0.5, seed=0), GRID)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: PatchGrid(0, 16, 24), ValueError, "patch size must be positive",
+                     id="patch-size"),
+        pytest.param(lambda: sample_tube_mask(GRID, 1.5, seed=0), ValueError,
+                     "ratio must be in [0, 1]", id="ratio"),
+        pytest.param(lambda: normalize_patches(np.zeros((16, 23)), GRID), GeometryError,
+                     "target shape (16, 23) does not match grid 16x24", id="target-shape"),
+    ],
+)
+def test_bad_arguments_rejected(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_mask_from_another_grid_rejected():
     """A P = 5 mask (4x7 patches) on the 2x4 patch grid of P = 8, 32x16."""
     mask = sample_tube_mask(PatchGrid(5, 16, 32), 0.5, seed=0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evprep import simulate_events
+from evprep.cli import main
 from evprep.errors import FormatError
 from evprep.scenefile import load_scene, parse_scene_text
 from conftest import disc_scene
@@ -133,6 +134,32 @@ def test_malformed_value_names_file_and_section(key, value, section):
     with pytest.raises(FormatError) as exc:
         parse_scene_text(with_value(key, value), name="bad.scene")
     assert str(exc.value).startswith(f"bad.scene [{section}]: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (with_value("background_rate", "-1"), "{path} [noise]: background_rate must be >= 0"),
+        (with_value("hot_pixels", "2,2,1,-5"), "{path} [noise]: hot pixel rate must be >= 0"),
+        (with_value("threshold", "0"), "{path} [scene]: threshold must be positive"),
+        (with_value("sample_interval_us", "300"),
+         "{path} [scene]: sample_interval must divide duration"),
+        (VALID + "[scene]\n",
+         "While reading from '{path}' [line 21]: section 'scene' already exists"),
+    ],
+    ids=["background-rate", "hot-pixel-rate", "threshold", "sample-interval", "duplicate-section"],
+)
+def test_invalid_scene_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.scene"
+    path.write_text(text)
+    message = message.format(path=path)
+    with pytest.raises(FormatError) as exc:
+        load_scene(path)
+    assert str(exc.value) == message
+    out = tmp_path / "out.evt1"
+    assert main(["simulate", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"evprep: error: {message}\n"
+    assert not out.exists()
 
 
 KEYS = [line.split(" =")[0] for line in VALID.splitlines() if " = " in line]

@@ -140,6 +140,13 @@ def oracle_intensity(scene: SceneSpec, times_us: list[int]) -> list[np.ndarray]:
     return frames
 
 
+@pytest.mark.parametrize("t_us", [-1, 10_001])
+def test_render_outside_duration_rejected(t_us):
+    with pytest.raises(ValueError) as exc:
+        render_logintensity(static_scene(), t_us)
+    assert str(exc.value) == f"t={t_us}us outside scene duration"
+
+
 def test_oracle_single_time(scene):
     frames = oracle_intensity(scene, [0])
     direct = render_logintensity(scene, 0)

@@ -3,8 +3,15 @@ import struct
 import numpy as np
 import pytest
 
-from evprep import PatchGrid, normalize_patches, sample_tube_mask
-from evprep.errors import FormatError
+from evprep import (
+    IntensityConfig,
+    Method,
+    PatchGrid,
+    SegmentConfig,
+    normalize_patches,
+    sample_tube_mask,
+)
+from evprep.errors import FormatError, GeometryError
 from evprep.toymodel import (
     ToyModelConfig,
     backward_sequence,
@@ -14,8 +21,10 @@ from evprep.toymodel import (
     forward_stage,
     init_model,
     serialize_params,
+    train_toy,
     unflatten_params,
 )
+from conftest import disc_scene
 
 
 def small_config(recurrent=True, seed=0):
@@ -115,6 +124,49 @@ def test_zero_learning_signal():
     loss, grads = backward_sequence(state, inputs, [target], mask, grid)
     assert loss == pytest.approx(0.0, abs=1e-24)
     assert all(np.abs(g).max() < 1e-12 for g in grads.values())
+
+
+def change_patch_count():
+    state = init_model(small_config())
+    forward_stage(state, np.zeros((5, 8, 8)))
+    forward_stage(state, np.zeros((5, 8, 12)))
+
+
+def backward(inputs, targets, ratio=1.0):
+    grid = PatchGrid(4, 8, 8)
+    mask = sample_tube_mask(grid, ratio, seed=0)
+    backward_sequence(init_model(small_config()), inputs, targets, mask, grid)
+
+
+ZERO_STAGE = np.zeros((5, 8, 8))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: ToyModelConfig(4, 0, 5), ValueError, "embed_dim must be >= 1",
+                     id="embed-dim"),
+        pytest.param(lambda: forward_stage(init_model(small_config()), np.zeros((4, 8, 8))),
+                     GeometryError, "expected 5 channels, got 4", id="channels"),
+        pytest.param(change_patch_count, GeometryError, "patch count changed mid-sequence",
+                     id="patch-count"),
+        pytest.param(lambda: backward([ZERO_STAGE], []), ValueError,
+                     "inputs/targets length mismatch", id="lengths"),
+        pytest.param(lambda: backward([], []), ValueError, "need at least one stage",
+                     id="no-stage"),
+        pytest.param(lambda: backward([ZERO_STAGE], [ZERO_STAGE[0]], ratio=0.0), ValueError,
+                     "mask is empty", id="empty-mask"),
+        pytest.param(
+            lambda: train_toy(disc_scene(), 0, 0.1, small_config(), SegmentConfig(20_000, 4),
+                              IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=5000), 1),
+            ValueError, "steps must be >= 1", id="steps",
+        ),
+    ],
+)
+def test_bad_arguments_rejected(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("stages", [1, 3])
