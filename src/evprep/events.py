@@ -117,8 +117,9 @@ class StageHistogram:
 # faulted in again every segment. Wall time was the same within noise.
 SCAN_BLOCK = 2**18
 
-# INTF stores the frame count as u32
+# INTF stores the frame count as u32, EVT1 the event count
 MAX_SEGMENTS = 2**32 - 1
+MAX_EVENTS = 2**32 - 1
 
 
 def _scan(source, geometry: SensorGeometry, segment_duration_us: int | None = None):

@@ -101,15 +101,15 @@ def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
 
 
 def _parse_text_lines(path) -> Iterator[tuple[int, int, int, int]]:
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:  # a line that is not UTF-8 fails as a ValueError too
+                line = raw.decode().strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 4:
+                    raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
                 t, x, y, p = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc

@@ -134,8 +134,8 @@ def parse_scene_text(text: str, name: str = "<scene>") -> tuple[SceneSpec, Noise
 
 def load_scene(path) -> tuple[SceneSpec, NoiseSpec | None]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return parse_scene_text(text, name=str(path))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from evprep.errors import GeometryError
-from evprep.events import EVENT_DTYPE, SensorGeometry, make_events
+from evprep.events import EVENT_DTYPE, MAX_EVENTS, SensorGeometry, make_events
 
 
 @dataclass
@@ -160,21 +160,43 @@ def _canonical_sort(events: np.ndarray) -> np.ndarray:
     return events[order]
 
 
+def _count(total: float, more: float) -> float:
+    """``total + more`` events, or ValueError past what an EVT1 file can count."""
+    if not total + more <= MAX_EVENTS:
+        raise ValueError(f"the scene makes over {MAX_EVENTS} events, more than EVT1 can count")
+    return total + more
+
+
 def simulate_events(scene: SceneSpec, noise: NoiseSpec | None = None) -> np.ndarray:
     """Generate the time-ordered event stream for a scene.
 
     Sampling at every sample_interval, each pixel compares the rendered
     log-level against its reference; a drift of magnitude >= C emits
     floor(|diff| / C) events of that polarity and advances the reference
-    by the emitted multiple of C.
+    by the emitted multiple of C. Raises ValueError, before allocating them,
+    if the events would outgrow an EVT1 file (noise at its expected count)
+    or if a drift is not finite in units of C.
     """
     C = scene.threshold
+    geo, duration_s = scene.geometry, scene.duration_us * 1e-6
+    total = 0.0
+    if noise is not None:
+        for x, y, _, rate in noise.hot_pixels:
+            if not (0 <= x < geo.width and 0 <= y < geo.height):
+                raise GeometryError(f"hot pixel ({x}, {y}) outside sensor")
+            total = _count(total, rate * duration_s)
+        total = _count(total, noise.background_rate * geo.width * geo.height * duration_s)
     reference = render_logintensity(scene, 0)
     chunks = []
     for t in _sample_times(scene):
-        current = render_logintensity(scene, int(t))
-        diff = current - reference
-        counts = np.floor(np.abs(diff) / C).astype(np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = render_logintensity(scene, int(t)) - reference
+            steps = np.floor(np.abs(diff) / C)
+            more = steps.sum()
+        if not np.isfinite(steps).all():
+            raise ValueError(f"at t={t}us a level drift is not finite in units of C={C:g}")
+        total = _count(total, more)
+        counts = steps.astype(np.int64)
         fired = counts > 0
         if not fired.any():
             continue
@@ -191,12 +213,9 @@ def simulate_events(scene: SceneSpec, noise: NoiseSpec | None = None) -> np.ndar
             )
         )
     if noise is not None:
-        for x, y, _, _ in noise.hot_pixels:
-            if not (0 <= x < scene.geometry.width and 0 <= y < scene.geometry.height):
-                raise GeometryError(f"hot pixel ({x}, {y}) outside sensor")
         rng = np.random.default_rng(noise.rng_seed)
         chunks.extend(_hot_pixel_events(noise, scene.duration_us, rng))
-        chunks.extend(_background_events(noise, scene.geometry, scene.duration_us, rng))
+        chunks.extend(_background_events(noise, geo, scene.duration_us, rng))
     if not chunks:
         return np.empty(0, dtype=EVENT_DTYPE)
     return _canonical_sort(np.concatenate(chunks))

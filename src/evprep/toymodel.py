@@ -2,8 +2,8 @@
 
 Each patch is processed independently with shared weights: flatten ->
 linear embed -> single tanh recurrent cell -> linear decode back to
-pixels. The cell memory carries information across stages (reset to zero
-at sequence start); with ``recurrent=False`` the memory is pinned at
+pixels. The cell memory carries information across stages (zero at the
+start of every sequence); with ``recurrent=False`` the memory is pinned at
 zero, giving the feedforward ablation. Double precision throughout so
 finite-difference gradient checks hold at tight tolerance.
 """
@@ -18,7 +18,6 @@ import numpy as np
 from evprep.errors import FormatError, GeometryError, TrainingDivergedError
 from evprep.events import SegmentConfig, build_histogram, flatten_histogram, segment_stream
 from evprep.intensity import IntensityConfig, Method, run_sequence
-from evprep.losses import masked_mse
 from evprep.masking import PatchGrid, TubeMask, apply_mask, normalize_patches, sample_tube_mask
 from evprep.simulate import SceneSpec, simulate_events
 
@@ -55,7 +54,6 @@ class ToyModelConfig:
 class ToyModelState:
     config: ToyModelConfig
     params: dict[str, np.ndarray]
-    memory: np.ndarray | None = None
 
 
 def _uniform(rng, fan_in, shape):
@@ -105,40 +103,29 @@ def _unpatchify(patches: np.ndarray, H: int, W: int, P: int) -> np.ndarray:
     return frame[:H, :W]
 
 
-def _stage_core(state: ToyModelState, masked_input: np.ndarray):
-    cfg = state.config
-    P = cfg.patch_size
-    if masked_input.shape[0] != cfg.in_channels:
-        raise GeometryError(
-            f"expected {cfg.in_channels} channels, got {masked_input.shape[0]}"
-        )
-    X = _patchify(np.asarray(masked_input, dtype=np.float64), P)
-    K = X.shape[0]
-    if state.memory is None:
-        state.memory = np.zeros((K, cfg.embed_dim), dtype=np.float64)
-    elif state.memory.shape[0] != K:
-        raise GeometryError("patch count changed mid-sequence")
-    p = state.params
-    c_prev = state.memory
-    f = X @ p["embed"]
-    a = c_prev @ p["rec_c"].T + f @ p["rec_f"].T + p["rec_bias"]
-    h = np.tanh(a)
-    pred_patches = h @ p["decode"]
-    state.memory = h if cfg.recurrent else np.zeros_like(h)
-    return X, c_prev, f, h, pred_patches
-
-
-def forward_stage(state: ToyModelState, masked_input: np.ndarray) -> np.ndarray:
-    """One stage forward pass; advances the recurrent memory."""
-    _, _, _, _, pred_patches = _stage_core(state, masked_input)
-    _, H, W = masked_input.shape
-    return _unpatchify(pred_patches, H, W, state.config.patch_size)
+def _run(state: ToyModelState, inputs: list[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
+    """Stage loop from zero memory; each stage's (X, c_prev, f, h, predicted patches)."""
+    cfg, p = state.config, state.params
+    stages, c = [], None
+    for x in inputs:
+        if x.shape[0] != cfg.in_channels:
+            raise GeometryError(f"expected {cfg.in_channels} channels, got {x.shape[0]}")
+        X = _patchify(np.asarray(x, dtype=np.float64), cfg.patch_size)
+        if c is None:
+            c = np.zeros((X.shape[0], cfg.embed_dim), dtype=np.float64)
+        elif c.shape[0] != X.shape[0]:
+            raise GeometryError("patch count changed mid-sequence")
+        f = X @ p["embed"]
+        h = np.tanh(c @ p["rec_c"].T + f @ p["rec_f"].T + p["rec_bias"])
+        stages.append((X, c, f, h, h @ p["decode"]))
+        c = h if cfg.recurrent else np.zeros_like(h)
+    return stages
 
 
 def forward_sequence(state: ToyModelState, inputs: list[np.ndarray]) -> list[np.ndarray]:
-    """Fresh-memory forward pass over a whole sequence."""
-    state.memory = None
-    return [forward_stage(state, x) for x in inputs]
+    """Forward pass over a whole sequence, from zero memory."""
+    P = state.config.patch_size
+    return [_unpatchify(s[-1], *x.shape[1:], P) for s, x in zip(_run(state, inputs), inputs)]
 
 
 def backward_sequence(
@@ -151,44 +138,37 @@ def backward_sequence(
     """Exact backpropagation through time of the masked sequence loss.
 
     Targets are already patch-normalized (:func:`normalize_patches`); the
-    loss is the mean over stages of :func:`evprep.losses.masked_mse`.
+    loss is the mean over stages of each stage's masked MSE, equal to
+    :func:`evprep.losses.masked_mse`. One difference ``d`` per stage gives
+    both that loss, mean(d*d), and its gradient, 2d / (M * masked pixels).
     """
     if len(inputs) != len(targets):
         raise ValueError("inputs/targets length mismatch")
     if not inputs:
         raise ValueError("need at least one stage")
     M = len(inputs)
-    cfg = state.config
+    cfg, p = state.config, state.params
     P = cfg.patch_size
-    p = state.params
     pix = mask.pixel_mask(grid)
     n_masked_pix = int(pix.sum())
     if n_masked_pix == 0:
         raise ValueError("mask is empty")
 
-    state.memory = None
-    cache = []
-    predictions = []
-    for x in inputs:
-        X, c_prev, f, h, pred_patches = _stage_core(state, x)
-        frame = _unpatchify(pred_patches, grid.height, grid.width, P)
-        cache.append((X, c_prev, f, h))
-        predictions.append(frame)
-
-    per_stage = [masked_mse(pred, t, mask, grid) for pred, t in zip(predictions, targets)]
-    loss = float(np.mean(per_stage))
+    stages = _run(state, inputs)
+    preds = [_unpatchify(s[-1], grid.height, grid.width, P) for s in stages]
+    if any(pred.shape != t.shape for pred, t in zip(preds, targets)):
+        raise GeometryError("prediction/target shape mismatch")
+    diffs = [pred[pix] - t[pix] for pred, t in zip(preds, targets)]
+    loss = float(np.mean([np.mean(d * d) for d in diffs]))
 
     grads = {k: np.zeros_like(v) for k, v in p.items()}
     dc_next = None
-    for i in reversed(range(M)):
-        X, c_prev, f, h = cache[i]
+    for (X, c_prev, f, h, _), d in reversed(list(zip(stages, diffs))):
         dframe = np.zeros((grid.height, grid.width), dtype=np.float64)
-        dframe[pix] = 2.0 * (predictions[i][pix] - targets[i][pix]) / (
-            M * n_masked_pix
-        )
+        dframe[pix] = 2.0 * d / (M * n_masked_pix)
         dpred = _patchify(dframe[None], P)
         dh = dpred @ p["decode"].T
-        if cfg.recurrent and dc_next is not None:
+        if dc_next is not None:
             dh = dh + dc_next
         grads["decode"] += h.T @ dpred
         da = dh * (1.0 - h * h)

@@ -3,6 +3,7 @@
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from evprep.bench import bench_histogram
 from evprep.events import build_histogram, make_events, signed_bin_accumulation
 from evprep.formats import write_intf
 from evprep.masking import serialize_mask
+from evprep.scenefile import load_scene
 from evprep.toymodel import (
     ToyModelConfig,
     backward_sequence,
@@ -324,3 +326,44 @@ def test_criterion_10_throughput():
     rate = bench_histogram(events, geo, seg)
     assert rate >= 5e6, f"{rate / 1e6:.2f} M events/s"
     _passed(10, f"segmentation+histogram {rate / 1e6:.1f} M events/s (target 5.0)")
+
+
+def test_criterion_11_noise_robustness():
+    start = time.perf_counter()
+    scene, noise = load_scene(Path(__file__).resolve().parent.parent / "scenes" / "noisy_disc.scene")
+    assert noise.hot_pixels == [(2, 2, 1, 500.0)]
+    seg = SegmentConfig(10_000, 5)
+    noisy, clean = simulate_events(scene, noise), simulate_events(scene, None)
+    elsewhere = np.ones((scene.geometry.height, scene.geometry.width), dtype=bool)
+    elsewhere[2, 2] = False
+
+    def scores(method, alpha, normalizer):
+        """(|last frame at the hot pixel|, RMS of the last frame against the
+        noise-free run's everywhere else)."""
+        cfg = IntensityConfig(method, alpha_per_s=alpha, normalizer=normalizer,
+                              bin_duration_us=seg.bin_duration_us)
+        last_noisy, last_clean = (
+            run_sequence(ev, scene.geometry, seg, cfg, num_segments=10)[1][-1].astype(np.float64)
+            for ev in (noisy, clean)
+        )
+        rms = math.sqrt(np.mean((last_noisy - last_clean)[elsewhere] ** 2))
+        return abs(last_noisy[2, 2]), rms
+
+    # with N near the events per bin, the adaptive target suppresses the hot pixel
+    # and the background noise better than exponential decay does
+    decay = scores(Method.PER_EVENT_DECAY, 50.0, 5)
+    adaptive = scores(Method.ADAPTIVE_BATCH, 50.0, 5)
+    assert adaptive[0] < decay[0] and adaptive[1] < decay[1], (adaptive, decay)
+    assert adaptive == (pytest.approx(7.23, abs=0.01), pytest.approx(0.106, abs=0.001))
+    assert decay == (pytest.approx(10.43, abs=0.01), pytest.approx(0.306, abs=0.001))
+    # at the defaults (alpha 5, N 5000) it is worse on both: the claim does not hold there
+    decay_default = scores(Method.PER_EVENT_DECAY, 5.0, 5000)
+    adaptive_default = scores(Method.ADAPTIVE_BATCH, 5.0, 5000)
+    assert adaptive_default[0] > decay_default[0] and adaptive_default[1] > decay_default[1]
+    assert adaptive_default == (pytest.approx(48.98, abs=0.01), pytest.approx(0.331, abs=0.001))
+    assert decay_default == (pytest.approx(38.93, abs=0.01), pytest.approx(0.319, abs=0.001))
+    elapsed = time.perf_counter() - start
+    _passed(11, f"alpha 50, N 5: adaptive residue {adaptive[0]:.1f} < {decay[0]:.1f}, "
+                f"RMS {adaptive[1]:.3f} < {decay[1]:.3f}; at the defaults adaptive is worse "
+                f"({adaptive_default[0]:.1f} > {decay_default[0]:.1f}, "
+                f"{adaptive_default[1]:.3f} > {decay_default[1]:.3f}), {elapsed:.2f}s")

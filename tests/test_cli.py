@@ -63,6 +63,37 @@ def test_simulate_static_scene(tmp_path):
     assert events.shape[0] == 0
 
 
+TOO_MANY_EVENTS = "the scene makes over 4294967295 events, more than EVT1 can count"
+
+
+@pytest.mark.parametrize(
+    "scene, values, message",
+    [
+        pytest.param("disc", {"logintensity": "1e300", "threshold": "1e-300"},
+                     "at t=2000us a level drift is not finite in units of C=1e-300",
+                     id="drift-not-finite"),
+        pytest.param("disc", {"logintensity": "1e6", "threshold": "1e-6"}, TOO_MANY_EVENTS,
+                     id="drift-events"),
+        pytest.param("noisy_disc", {"hot_pixels": "2,2,1,1e15"}, TOO_MANY_EVENTS,
+                     id="hot-pixel-events"),
+        pytest.param("noisy_disc", {"background_rate": "1e13"}, TOO_MANY_EVENTS,
+                     id="background-events"),
+    ],
+)
+def test_unrenderable_scene_exit_2(tmp_path, capsys, scene, values, message):
+    # only values past the limit: a count below it can still be tens of GB of events
+    lines = (SCENES / f"{scene}.scene").read_text().splitlines()
+    path = tmp_path / "big.scene"
+    path.write_text("\n".join(
+        f"{key} = {values[key]}" if (key := line.split(" =")[0]) in values else line
+        for line in lines
+    ))
+    out = tmp_path / "big.evt1"
+    assert main(["simulate", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"evprep: error: {message}\n"
+    assert not out.exists()
+
+
 def test_corrupt_scene_exit_2(tmp_path, capsys):
     scene = tmp_path / "bad.scene"
     scene.write_text("[geometry]\nwidth = oops\nheight = 4\n[scene]\n")

@@ -20,6 +20,7 @@ from evprep.formats import (
     write_intf,
     write_pgm,
 )
+from evprep.scenefile import load_scene
 
 from conftest import synthetic_events
 
@@ -188,6 +189,18 @@ def test_text_events_memory(tmp_path):
             read_text_events,
             ":2: invalid literal for int() with base 10: 'x'",
             ["intensity", "-o", "o.intf", "--geometry", "32x16"],
+        ),
+        (
+            b"10 3 4 1\n\xff 3 4 1\n",
+            read_text_events,
+            ":2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ["intensity", "-o", "o.intf", "--geometry", "32x16"],
+        ),
+        (
+            b"[geometry]\nwidth = \xff\n",
+            load_scene,
+            ": 'utf-8' codec can't decode byte 0xff in position 19: invalid start byte",
+            ["simulate", "-o", "o.intf"],
         ),
     ],
 )

@@ -18,7 +18,6 @@ from evprep.toymodel import (
     deserialize_params,
     flatten_params,
     forward_sequence,
-    forward_stage,
     init_model,
     serialize_params,
     train_toy,
@@ -42,7 +41,7 @@ def random_inputs(rng, config, grid, stages):
 def test_zero_input_zero_memory_zero_bias_gives_zero():
     state = init_model(small_config())
     state.params["rec_bias"][:] = 0.0
-    pred = forward_stage(state, np.zeros((5, 8, 8)))
+    pred = forward_sequence(state, [np.zeros((5, 8, 8))])[0]
     assert not pred.any()
 
 
@@ -58,10 +57,9 @@ def test_hand_computed_single_patch():
     f = 0.1 * 1 + 0.2 * 2 - 0.3 * 3 + 0.4 * -1  # -0.8
     h = np.tanh(2.0 * f + 0.1)
     expected = h * np.array([[1.0, -1.0], [0.5, 2.0]])
-    pred = forward_stage(state, x)
+    pred, pred2 = forward_sequence(state, [x, x])
     np.testing.assert_allclose(pred, expected, rtol=1e-12)
     # second stage now carries memory through rec_c
-    pred2 = forward_stage(state, x)
     h2 = np.tanh(0.5 * h + 2.0 * f + 0.1)
     np.testing.assert_allclose(pred2, h2 * np.array([[1.0, -1.0], [0.5, 2.0]]), rtol=1e-12)
 
@@ -128,8 +126,7 @@ def test_zero_learning_signal():
 
 def change_patch_count():
     state = init_model(small_config())
-    forward_stage(state, np.zeros((5, 8, 8)))
-    forward_stage(state, np.zeros((5, 8, 12)))
+    forward_sequence(state, [np.zeros((5, 8, 8)), np.zeros((5, 8, 12))])
 
 
 def backward(inputs, targets, ratio=1.0):
@@ -146,7 +143,7 @@ ZERO_STAGE = np.zeros((5, 8, 8))
     [
         pytest.param(lambda: ToyModelConfig(4, 0, 5), ValueError, "embed_dim must be >= 1",
                      id="embed-dim"),
-        pytest.param(lambda: forward_stage(init_model(small_config()), np.zeros((4, 8, 8))),
+        pytest.param(lambda: forward_sequence(init_model(small_config()), [np.zeros((4, 8, 8))]),
                      GeometryError, "expected 5 channels, got 4", id="channels"),
         pytest.param(change_patch_count, GeometryError, "patch count changed mid-sequence",
                      id="patch-count"),
@@ -156,6 +153,8 @@ ZERO_STAGE = np.zeros((5, 8, 8))
                      id="no-stage"),
         pytest.param(lambda: backward([ZERO_STAGE], [ZERO_STAGE[0]], ratio=0.0), ValueError,
                      "mask is empty", id="empty-mask"),
+        pytest.param(lambda: backward([ZERO_STAGE], [np.zeros((8, 7))]), GeometryError,
+                     "prediction/target shape mismatch", id="target-shape"),
         pytest.param(
             lambda: train_toy(disc_scene(), 0, 0.1, small_config(), SegmentConfig(20_000, 4),
                               IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=5000), 1),
