@@ -6,13 +6,11 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
-import numpy as np
-
-from evprep import bench
 from evprep.errors import EvprepError, FormatError, GeometryError
-from evprep.events import SegmentConfig, SensorGeometry
+from evprep.events import SegmentConfig, SensorGeometry, build_histogram, segment_stream
 from evprep.formats import (
     load_state,
     open_evt1,
@@ -24,16 +22,12 @@ from evprep.formats import (
     read_intf,
     write_pgm,
 )
-from evprep.intensity import IntensityConfig, Method, iter_sequence
+from evprep.intensity import FRAME_MAX, IntensityConfig, Method, iter_sequence
 from evprep.losses import trail_energy
 from evprep.masking import PatchGrid
 from evprep.scenefile import load_scene
 from evprep.simulate import simulate_events, trail_region
-from evprep.toymodel import (
-    ToyModelConfig,
-    serialize_params,
-    train_toy,
-)
+from evprep.toymodel import ToyModelConfig, serialize_params, train_toy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,10 +59,11 @@ def _number(convert, accept, what: str):
     return parse
 
 
-_finite_float = _number(float, lambda v: True, "a finite number")
 _non_negative_float = _number(float, lambda v: v >= 0, "a finite number >= 0")
 _positive_float = _number(float, lambda v: v > 0, "a finite number > 0")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_positive_int64 = _number(int, lambda v: 0 < v < 2**63, "a positive integer below 2**63")
+_frame_float = _number(float, lambda v: abs(v) <= FRAME_MAX, "a number within float32's range")
 _non_negative_int = _number(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _number(float, lambda v: 0 <= v <= 1, "a finite number in [0, 1]")
 
@@ -89,8 +84,8 @@ def _add_segment_flags(p):
 
 def _add_estimator_flags(p):
     p.add_argument("--alpha", type=_non_negative_float, default=5.0)
-    p.add_argument("--threshold", type=_finite_float, default=1.0)
-    p.add_argument("--normalizer", type=_positive_int, default=5000)
+    p.add_argument("--threshold", type=_frame_float, default=1.0)
+    p.add_argument("--normalizer", type=_positive_int64, default=5000)
 
 
 def _int_config(args) -> IntensityConfig:
@@ -170,7 +165,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_pretrain_toy(args) -> int:
-    scene, _ = load_scene(args.scene)
+    scene, noise = load_scene(args.scene)
     grid = PatchGrid(args.patch, scene.geometry.height, scene.geometry.width)
     if grid.masked_patches(args.ratio) == 0:
         args.usage_error(f"--ratio {args.ratio:g} masks none of the {grid.num_patches} patches")
@@ -186,7 +181,8 @@ def cmd_pretrain_toy(args) -> int:
         seed=args.seed,
     )
     curve, state = train_toy(
-        scene,
+        simulate_events(scene, noise),
+        scene.geometry,
         args.steps,
         args.lr,
         config,
@@ -209,10 +205,25 @@ def cmd_bench(args) -> int:
     seg_config = args.seg_config
     n = events.shape[0]
     print(f"events: {n}")
-    rate = bench.bench_histogram(events, geometry, seg_config)
-    print(f"segmentation+histogram: {rate / 1e6:.2f} M events/s")
-    print(f"histogram_events_per_s: {rate:.0f}")
-    adaptive = bench.bench_adaptive(events, geometry, seg_config)
+
+    def rate(outputs) -> float:
+        """Events per second of computing every item of ``outputs()``."""
+        if n == 0:
+            return 0.0
+        start = time.perf_counter()
+        for _ in outputs():
+            pass
+        return n / (time.perf_counter() - start)
+
+    def histograms():
+        segments, _ = segment_stream(events, geometry, seg_config)
+        return (build_histogram(s, geometry, seg_config) for s in segments)
+
+    config = IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=seg_config.bin_duration_us)
+    histogram = rate(histograms)
+    print(f"segmentation+histogram: {histogram / 1e6:.2f} M events/s")
+    print(f"histogram_events_per_s: {histogram:.0f}")
+    adaptive = rate(lambda: iter_sequence(events, geometry, seg_config, config)[1])
     print(f"adaptive intensity: {adaptive / 1e6:.2f} M events/s")
     print(f"adaptive_events_per_s: {adaptive:.0f}")
     return EXIT_OK

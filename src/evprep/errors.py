@@ -30,4 +30,9 @@ class TrainingDivergedError(EvprepError):
 
 
 class SegmentCountError(EvprepError):
-    """Raised when a run has more segments than an INTF file can count."""
+    """Raised when a run has more segments than an INTF file can count, or
+    its last segment ends past the int64 microsecond clock."""
+
+
+class FrameRangeError(EvprepError):
+    """Raised when an intensity frame holds a value beyond float32's range."""

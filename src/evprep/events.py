@@ -120,6 +120,8 @@ SCAN_BLOCK = 2**18
 # INTF stores the frame count as u32, EVT1 the event count
 MAX_SEGMENTS = 2**32 - 1
 MAX_EVENTS = 2**32 - 1
+# the estimators and state files keep times as int64 microseconds
+MAX_CLOCK_US = 2**63 - 1
 
 
 def _scan(source, geometry: SensorGeometry, segment_duration_us: int | None = None):
@@ -205,6 +207,12 @@ def iter_segments(
         raise SegmentCountError(
             f"{num_segments} segments of {T}us: an INTF file holds at most {MAX_SEGMENTS} frames"
         )
+    end_us = (q0 + num_segments) * T
+    if end_us > MAX_CLOCK_US:
+        raise SegmentCountError(
+            f"{num_segments} segments of {T}us end at {end_us}us, "
+            f"past the int64 clock's {MAX_CLOCK_US}us"
+        )
     # offsets[j] is where the j-th non-empty segment starts, and ends the one before
     offsets = np.append(starts, n)
     first, last = np.searchsorted(keys, [q0, q0 + num_segments])
@@ -232,8 +240,8 @@ def segment_stream(
 
     Returns the M segments covering [(first_index-1)*T, (first_index-1+M)*T)
     and the count of dropped events: those outside that window. M defaults
-    to running through the last event, with at least one segment, and may
-    not exceed ``MAX_SEGMENTS``.
+    to running through the last event, with at least one segment; it may
+    not exceed ``MAX_SEGMENTS``, nor the window end past ``MAX_CLOCK_US``.
     """
     segments, dropped = iter_segments(events, geometry, config, num_segments, first_index)
     return list(segments), dropped

@@ -18,11 +18,11 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from evprep.errors import GeometryError, StreamOrderError
+from evprep.errors import FrameRangeError, GeometryError, StreamOrderError
 from evprep.events import (
     EventSegment,
     SegmentConfig,
@@ -31,6 +31,10 @@ from evprep.events import (
     iter_segments,
     validate_stream,
 )
+
+
+# the largest magnitude a float32 frame snapshot holds
+FRAME_MAX = float(np.finfo(np.float32).max)
 
 
 class Method(enum.Enum):
@@ -51,8 +55,12 @@ class IntensityConfig:
             raise ValueError("alpha must be finite and >= 0")
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
+        if abs(self.threshold) > FRAME_MAX:
+            raise ValueError(f"|threshold| must be at most float32's maximum, {FRAME_MAX:.8g}")
         if self.normalizer <= 0:
             raise ValueError("normalizer must be positive")
+        if self.normalizer >= 2**63:
+            raise ValueError("normalizer must be below 2**63")
         if self.bin_duration_us <= 0:
             raise ValueError("bin duration must be positive")
 
@@ -269,7 +277,14 @@ def iter_sequence(
             else:
                 _update_adaptive_segment(state, seg, seg_config)
             state.last_update_time_us = seg.index * T
-            yield state.frame.astype(np.float32)
+            try:
+                with np.errstate(over="raise"):
+                    frame = state.frame.astype(np.float32)
+            except FloatingPointError:
+                raise FrameRangeError(
+                    f"segment {seg.index}: a frame value is beyond float32's range"
+                ) from None
+            yield frame
 
     return state, frames()
 

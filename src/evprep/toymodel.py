@@ -16,10 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from evprep.errors import FormatError, GeometryError, TrainingDivergedError
-from evprep.events import SegmentConfig, build_histogram, flatten_histogram, segment_stream
-from evprep.intensity import IntensityConfig, Method, run_sequence
+from evprep.events import (
+    SegmentConfig,
+    SensorGeometry,
+    build_histogram,
+    flatten_histogram,
+    segment_stream,
+)
+from evprep.intensity import IntensityConfig, run_sequence
 from evprep.masking import PatchGrid, TubeMask, apply_mask, normalize_patches, sample_tube_mask
-from evprep.simulate import SceneSpec, simulate_events
 
 PARAM_MAGIC = b"TOYP"
 
@@ -218,29 +223,9 @@ def deserialize_params(blob: bytes) -> ToyModelState:
     return ToyModelState(config=config, params=unflatten_params(vec, param_shapes(config)))
 
 
-def build_training_data(
-    scene: SceneSpec,
-    seg_config: SegmentConfig,
-    int_config: IntensityConfig,
-    num_segments: int,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Simulate the scene once and derive (model inputs, raw targets)."""
-    events = simulate_events(scene)
-    geometry = scene.geometry
-    segments, _ = segment_stream(events, geometry, seg_config, num_segments)
-    inputs = [
-        flatten_histogram(build_histogram(s, geometry, seg_config, clip_max=CLIP_MAX))
-        for s in segments
-    ]
-    _, frames = run_sequence(
-        events, geometry, seg_config, int_config, num_segments=num_segments
-    )
-    targets = [f.astype(np.float64) for f in frames]
-    return inputs, targets
-
-
 def train_toy(
-    scene: SceneSpec,
+    events: np.ndarray,
+    geometry: SensorGeometry,
     steps: int,
     lr: float,
     config: ToyModelConfig,
@@ -249,17 +234,22 @@ def train_toy(
     num_segments: int,
     mask_ratio: float = 0.5,
 ) -> tuple[list[float], ToyModelState]:
-    """Plain gradient descent on the masked sequence loss.
+    """Plain gradient descent on the masked sequence loss over ``events``.
 
-    The targets are patch-normalized once; a fresh tube mask is drawn
-    every step. Aborts, naming the step, at the
+    The inputs are each segment's histogram, saturated at ``CLIP_MAX``;
+    the targets are ``run_sequence``'s frames, patch-normalized once. A
+    fresh tube mask is drawn every step. Aborts, naming the step, at the
     first overflow or invalid value in a step, before numpy warns of it.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    inputs, targets = build_training_data(scene, seg_config, int_config, num_segments)
-    grid = PatchGrid(config.patch_size, scene.geometry.height, scene.geometry.width)
-    targets = [normalize_patches(t, grid) for t in targets]
+    inputs = [
+        flatten_histogram(build_histogram(s, geometry, seg_config, clip_max=CLIP_MAX))
+        for s in segment_stream(events, geometry, seg_config, num_segments)[0]
+    ]
+    _, frames = run_sequence(events, geometry, seg_config, int_config, num_segments=num_segments)
+    grid = PatchGrid(config.patch_size, geometry.height, geometry.width)
+    targets = [normalize_patches(f.astype(np.float64), grid) for f in frames]
     state = init_model(config)
     curve = []
     for step in range(steps):

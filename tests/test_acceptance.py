@@ -32,7 +32,6 @@ from evprep import (
     update_adaptive_batch,
     update_per_event,
 )
-from evprep.bench import bench_histogram
 from evprep.events import build_histogram, make_events, signed_bin_accumulation
 from evprep.formats import write_intf
 from evprep.masking import serialize_mask
@@ -262,8 +261,9 @@ def test_criterion_7_toy_pretraining_signal():
 
     # frozen budget: 500 steps, lr 2.0, embed 16
     cfg = ToyModelConfig(patch_size=8, embed_dim=16, in_channels=9, recurrent=True, seed=0)
+    scene = training_scene()
     curve, _ = train_toy(
-        training_scene(), steps=500, lr=2.0, config=cfg,
+        simulate_events(scene), scene.geometry, steps=500, lr=2.0, config=cfg,
         seg_config=seg, int_config=icfg, num_segments=5,
     )
     ratio = curve[-1] / curve[0]
@@ -271,12 +271,14 @@ def test_criterion_7_toy_pretraining_signal():
 
     # recurrent vs feedforward on the move/freeze/move/freeze scene
     finals = {}
+    scene = freeze_scene()
+    events = simulate_events(scene)
     for recurrent in (True, False):
         c = ToyModelConfig(
             patch_size=8, embed_dim=32, in_channels=9, recurrent=recurrent, seed=0
         )
         cv, _ = train_toy(
-            freeze_scene(), steps=3000, lr=1.0, config=c,
+            events, scene.geometry, steps=3000, lr=1.0, config=c,
             seg_config=seg, int_config=icfg, num_segments=4,
         )
         finals[recurrent] = cv[-1]
@@ -323,7 +325,11 @@ def test_criterion_10_throughput():
     geo = SensorGeometry(640, 480)
     seg = SegmentConfig(50_000, 10)
     events = synthetic_events(10_000_000, geo, 2_000_000, seed=4)
-    rate = bench_histogram(events, geo, seg)
+    start = time.perf_counter()
+    segments, _ = segment_stream(events, geo, seg)
+    for segment in segments:
+        build_histogram(segment, geo, seg)
+    rate = events.shape[0] / (time.perf_counter() - start)
     assert rate >= 5e6, f"{rate / 1e6:.2f} M events/s"
     _passed(10, f"segmentation+histogram {rate / 1e6:.1f} M events/s (target 5.0)")
 

@@ -10,6 +10,7 @@ import pytest
 from evprep import events as events_module
 from evprep.cli import build_parser, main
 from evprep.formats import read_evt1, read_intf, write_evt1
+from evprep.errors import FormatError
 from evprep.events import make_events
 from evprep import SensorGeometry
 
@@ -124,6 +125,8 @@ def test_usage_error_exit_1(capsys):
         ("--alpha", "inf"),
         ("--threshold", "inf"),
         ("--threshold", "-inf"),
+        # float32 frames cannot hold one event's step
+        ("--threshold", "1e300"),
         ("--bins", "0"),
         ("--segments", "0"),
         ("--segments", "-3"),
@@ -135,6 +138,9 @@ def test_usage_error_exit_1(capsys):
         ("--segment-ms", "1e17"),
         ("--bins", "3"),
         ("--normalizer", "0"),
+        # a state file stores the normalizer as int64
+        ("--normalizer", "99999999999999999999"),
+        ("--normalizer", str(2**63)),
         ("--alpha", "-1"),
         ("--geometry", "abc"),
         ("--geometry", "8x"),
@@ -184,7 +190,7 @@ def test_bad_flag_exit_1_other_commands(
     def no_simulation(*args):
         raise AssertionError("a usage error must be found before simulating")
 
-    monkeypatch.setattr("evprep.toymodel.simulate_events", no_simulation)
+    monkeypatch.setattr("evprep.cli.simulate_events", no_simulation)
     out = tmp_path / "curve.txt"
     if command == "pretrain-toy":
         argv = [command, str(SCENES / "disc.scene"), "-o", str(out), "--steps", "1"]
@@ -334,6 +340,56 @@ def test_intensity_too_many_segments_exit_2(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "flags, text, message",
+    [
+        # each ended in an OverflowError traceback: in bin_edges, or in
+        # save_state after the INTF was written
+        pytest.param(["--segment-ms", "4e15", "--bins", "1", "--segments", "6"], None,
+                     "6 segments of 4000000000000000000us end at 24000000000000000000us",
+                     id="bin-edges"),
+        pytest.param(["--segment-ms", "4e15", "--bins", "1", "--segments", "3",
+                      "--save-state", "s.npz"], None,
+                     "3 segments of 4000000000000000000us end at 12000000000000000000us",
+                     id="save-state"),
+        # wrote 9224 frames, one holding NaN, and exited 0: t wrapped in an int64 cast
+        pytest.param(["--geometry", "4x4", "--method", "decay", "--segment-ms", "1e12",
+                      "--bins", "1"], "9223372036854775900 1 1 1\n",
+                     "9224 segments of 1000000000000000us end at 9224000000000000000us",
+                     id="text-events-past-2**63"),
+    ],
+)
+def test_window_past_int64_clock_exit_2(evt1, tmp_path, capsys, monkeypatch, flags, text, message):
+    monkeypatch.chdir(tmp_path)
+    source = evt1
+    if text is not None:
+        source = tmp_path / "events.txt"
+        source.write_text(text)
+    assert main(["intensity", str(source), "-o", "x.intf", *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"evprep: error: {message}, past the int64 clock's 9223372036854775807us\n"
+    )
+    assert not (tmp_path / "x.intf").exists() and not (tmp_path / "s.npz").exists()
+
+
+@pytest.mark.parametrize("method", ["decay", "adaptive"])
+def test_frame_beyond_float32_exit_2(tmp_path, capsys, method):
+    # with no decay, the second event on pixel (1, 1) takes it to 6e38
+    text = tmp_path / "events.txt"
+    text.write_text("10 1 1 1\n60000 1 1 1\n")
+    out, state = tmp_path / "x.intf", tmp_path / "s.npz"
+    argv = ["intensity", str(text), "--geometry", "8x8", "--method", method, "-o", str(out),
+            "--threshold", "3e38", "--alpha", "0", "--segments", "3", "--save-state", str(state)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "evprep: error: segment 2: a frame value is beyond float32's range\n"
+    )
+    # the frame of segment 1 was written, but the header still counts none
+    with pytest.raises(FormatError):
+        read_intf(out)
+    assert not state.exists()
+
+
+@pytest.mark.parametrize(
     "t, x, p, message",
     [
         ([10, 30, 20], [1, 1, 1], [1, 1, 1], "event stream unsorted: inversion at index 2"),
@@ -459,6 +515,28 @@ def test_pretrain_toy_feedforward_params(tmp_path, flags, recurrent):
     assert blob[:4] == b"TOYP" and blob[10] == recurrent
 
 
+def test_pretrain_toy_trains_on_noisy_events(tmp_path):
+    """The curve is train_toy's on the scene's events, its noise included."""
+    from evprep import IntensityConfig, Method, SegmentConfig, simulate_events
+    from evprep.scenefile import load_scene
+    from evprep.toymodel import ToyModelConfig, train_toy
+
+    curve = tmp_path / "curve.txt"
+    argv = ["pretrain-toy", str(SCENES / "noisy_disc.scene"), "-o", str(curve), "--steps", "5"]
+    assert main(argv) == 0
+    scene, noise = load_scene(SCENES / "noisy_disc.scene")
+    # the defaults: T = 50 ms, B = 10, patch 8, embed 16, lr 0.5, ratio 0.5
+    seg = SegmentConfig(50_000, 10)
+    icfg = IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=seg.bin_duration_us)
+    losses = {
+        name: train_toy(simulate_events(scene, spec), scene.geometry, 5, 0.5,
+                        ToyModelConfig(8, 16, 21), seg, icfg, 2, mask_ratio=0.5)[0]
+        for name, spec in (("noisy", noise), ("clean", None))
+    }
+    assert curve.read_text() == "".join(f"{i} {v:.9g}\n" for i, v in enumerate(losses["noisy"]))
+    assert losses["noisy"] != losses["clean"]
+
+
 def test_pretrain_toy_diverged_exit_2(tmp_path, capsys):
     curve = tmp_path / "curve.txt"
     argv = ["pretrain-toy", str(SCENES / "disc.scene"), "-o", str(curve),
@@ -502,6 +580,9 @@ def test_bench_reports_rates(evt1, capsys):
         ("decay", "last_event_t_us", np.full((8, 8), 10**12, dtype=np.int64)),
         ("decay", "last_event_t_us", np.full((8, 8), -1, dtype=np.int64)),
         ("decay", "last_update_time_us", np.int64(-50_000)),
+        # values no run can save: a frame step beyond float32, a normalizer past int64
+        ("decay", "threshold", np.float64(1e300)),
+        ("adaptive", "normalizer", np.uint64(2**63)),
     ],
 )
 def test_resume_bad_state_exit_2(tmp_path, capsys, method, name, value):

@@ -93,6 +93,11 @@ def test_non_finite_config_rejected(kw):
     "call, message",
     [
         pytest.param(lambda: decay_cfg(normalizer=0), "normalizer must be positive", id="normalizer"),
+        pytest.param(lambda: decay_cfg(normalizer=2**63), "normalizer must be below 2**63",
+                     id="normalizer-int64"),
+        pytest.param(lambda: decay_cfg(threshold=-3.5e38),
+                     "|threshold| must be at most float32's maximum, 3.4028235e+38",
+                     id="threshold-float32"),
         pytest.param(
             lambda: decay_cfg(bin_duration_us=0), "bin duration must be positive", id="bin-duration"
         ),

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from evprep import IntensityConfig, Method, SegmentConfig
+from evprep import IntensityConfig, Method, SegmentConfig, simulate_events
 from evprep.toymodel import ToyModelConfig, flatten_params, train_toy
 from conftest import freeze_scene, training_scene
 
@@ -63,8 +63,9 @@ def test_train_toy_curve_and_params(name, recurrent):
     config = ToyModelConfig(
         patch_size=8, embed_dim=embed_dim, in_channels=9, recurrent=recurrent, seed=0
     )
+    spec = scene()
     curve, state = train_toy(
-        scene(), steps=STEPS, lr=lr, config=config, seg_config=SEG,
+        simulate_events(spec), spec.geometry, steps=STEPS, lr=lr, config=config, seg_config=SEG,
         int_config=IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=5000),
         num_segments=num_segments,
     )

@@ -8,6 +8,8 @@ from evprep import (
     Method,
     PatchGrid,
     SegmentConfig,
+    SensorGeometry,
+    make_events,
     normalize_patches,
     sample_tube_mask,
 )
@@ -23,7 +25,6 @@ from evprep.toymodel import (
     train_toy,
     unflatten_params,
 )
-from conftest import disc_scene
 
 
 def small_config(recurrent=True, seed=0):
@@ -156,7 +157,8 @@ ZERO_STAGE = np.zeros((5, 8, 8))
         pytest.param(lambda: backward([ZERO_STAGE], [np.zeros((8, 7))]), GeometryError,
                      "prediction/target shape mismatch", id="target-shape"),
         pytest.param(
-            lambda: train_toy(disc_scene(), 0, 0.1, small_config(), SegmentConfig(20_000, 4),
+            lambda: train_toy(make_events([], [], [], []), SensorGeometry(32, 16), 0, 0.1,
+                              small_config(), SegmentConfig(20_000, 4),
                               IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=5000), 1),
             ValueError, "steps must be >= 1", id="steps",
         ),

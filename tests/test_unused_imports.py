@@ -1,0 +1,45 @@
+"""No evprep module imports a name it never reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+# __init__.py imports names to re-export them
+MODULES = sorted(p for p in (ROOT / "src" / "evprep").glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """The names the module's imports bind and nothing reads, in import order."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # `import a.b` binds `a`
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for _, name in sorted(bound) if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_checker_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from dataclasses import dataclass, field\n"
+        "from evprep.events import SegmentConfig as Seg\n"
+        "def f(x: Seg) -> None:\n"
+        "    return dataclass(os.sep)\n"
+    )
+    assert unused_imports(ast.parse(source)) == ["np", "field"]
