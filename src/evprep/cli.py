@@ -22,7 +22,7 @@ from evprep.formats import (
     read_intf,
     write_pgm,
 )
-from evprep.intensity import FRAME_MAX, IntensityConfig, Method, iter_sequence
+from evprep.intensity import IntensityConfig, Method, iter_sequence
 from evprep.losses import trail_energy
 from evprep.masking import PatchGrid
 from evprep.scenefile import load_scene
@@ -36,6 +36,13 @@ EXIT_DATA = 2
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for data errors."""
+
+    def _parse_optional(self, arg_string):
+        try:  # any number float() reads, such as -1e3 or -inf, is a value, not an option
+            float(arg_string)
+            return None
+        except ValueError:
+            return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -59,11 +66,8 @@ def _number(convert, accept, what: str):
     return parse
 
 
-_non_negative_float = _number(float, lambda v: v >= 0, "a finite number >= 0")
 _positive_float = _number(float, lambda v: v > 0, "a finite number > 0")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
-_positive_int64 = _number(int, lambda v: 0 < v < 2**63, "a positive integer below 2**63")
-_frame_float = _number(float, lambda v: abs(v) <= FRAME_MAX, "a number within float32's range")
 _non_negative_int = _number(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _number(float, lambda v: 0 <= v <= 1, "a finite number in [0, 1]")
 
@@ -83,19 +87,9 @@ def _add_segment_flags(p):
 
 
 def _add_estimator_flags(p):
-    p.add_argument("--alpha", type=_non_negative_float, default=5.0)
-    p.add_argument("--threshold", type=_frame_float, default=1.0)
-    p.add_argument("--normalizer", type=_positive_int64, default=5000)
-
-
-def _int_config(args) -> IntensityConfig:
-    return IntensityConfig(
-        method=Method(args.method),
-        alpha_per_s=args.alpha,
-        threshold=args.threshold,
-        normalizer=args.normalizer,
-        bin_duration_us=args.seg_config.bin_duration_us,
-    )
+    p.add_argument("--alpha", type=float, default=5.0)
+    p.add_argument("--threshold", type=float, default=1.0)
+    p.add_argument("--normalizer", type=int, default=5000)
 
 
 def cmd_simulate(args) -> int:
@@ -122,7 +116,7 @@ def cmd_intensity(args) -> int:
         events = read_text_events(args.input)
     else:
         events, geometry = open_evt1(args.input)
-    seg_config, int_config = args.seg_config, _int_config(args)
+    seg_config, int_config = args.seg_config, args.int_config
     resume = load_state(args.resume) if args.resume else None
     state, frames = iter_sequence(
         events,
@@ -169,7 +163,7 @@ def cmd_pretrain_toy(args) -> int:
     grid = PatchGrid(args.patch, scene.geometry.height, scene.geometry.width)
     if grid.masked_patches(args.ratio) == 0:
         args.usage_error(f"--ratio {args.ratio:g} masks none of the {grid.num_patches} patches")
-    seg_config, int_config = args.seg_config, _int_config(args)
+    seg_config, int_config = args.seg_config, args.int_config
     num_segments = args.segments or max(
         1, scene.duration_us // seg_config.segment_duration_us
     )
@@ -291,6 +285,13 @@ def main(argv=None) -> int:
             args.seg_config = SegmentConfig(int(round(args.segment_ms * 1000)), args.bins)
         except ValueError as exc:
             parser.error(f"--segment-ms {args.segment_ms:g} with --bins {args.bins}: {exc}")
+    if "alpha" in args:
+        try:
+            args.int_config = IntensityConfig(Method(args.method), args.alpha, args.threshold,
+                                              args.normalizer, args.seg_config.bin_duration_us)
+        except ValueError as exc:
+            parser.error(f"--alpha {args.alpha:g} --threshold {args.threshold:g} "
+                         f"--normalizer {args.normalizer}: {exc}")
     try:
         return args.func(args)
     except (EvprepError, OSError, ValueError) as exc:

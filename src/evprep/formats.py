@@ -180,19 +180,20 @@ def write_pgm(path, frame: np.ndarray) -> None:
 
 
 def save_state(path, state: IntensityState) -> None:
-    np.savez(
-        path,
-        frame=state.frame,
-        last_update_time_us=np.int64(state.last_update_time_us),
-        last_event_t_us=state.last_event_t_us,
-        width=np.int64(state.geometry.width),
-        height=np.int64(state.geometry.height),
-        method=np.bytes_(state.config.method.value.encode()),
-        alpha_per_s=np.float64(state.config.alpha_per_s),
-        threshold=np.float64(state.config.threshold),
-        normalizer=np.int64(state.config.normalizer),
-        bin_duration_us=np.int64(state.config.bin_duration_us),
-    )
+    with open(path, "wb") as fh:  # np.savez would append .npz to a path
+        np.savez(
+            fh,
+            frame=state.frame,
+            last_update_time_us=np.int64(state.last_update_time_us),
+            last_event_t_us=state.last_event_t_us,
+            width=np.int64(state.geometry.width),
+            height=np.int64(state.geometry.height),
+            method=np.bytes_(state.config.method.value.encode()),
+            alpha_per_s=np.float64(state.config.alpha_per_s),
+            threshold=np.float64(state.config.threshold),
+            normalizer=np.int64(state.config.normalizer),
+            bin_duration_us=np.int64(state.config.bin_duration_us),
+        )
 
 
 def load_state(path) -> IntensityState:

@@ -55,7 +55,7 @@ class NoiseSpec:
 
     ``deterministic`` makes every hot pixel fire at its exact period
     (1/rate), giving exactly floor(rate * duration) events; otherwise
-    hot pixels and background are seeded Poisson processes.
+    each hot pixel, like the background, is a seeded Poisson process.
     """
 
     hot_pixels: list[tuple[int, int, int, float]] = field(default_factory=list)
@@ -120,38 +120,27 @@ def _sample_times(scene: SceneSpec) -> np.ndarray:
     return np.arange(si, scene.duration_us + 1, si, dtype=np.int64)
 
 
-def _hot_pixel_events(noise: NoiseSpec, duration_us: int, rng) -> list[np.ndarray]:
+def _noise_events(noise: NoiseSpec, geometry: SensorGeometry, duration_us: int) -> list[np.ndarray]:
+    """Each hot pixel in list order, then the background: a seeded Poisson count
+    of uniform times in [0, duration), or a deterministic hot pixel's k/rate."""
+    rng = np.random.default_rng(noise.rng_seed)
+
+    def poisson_times(expected_count: float) -> np.ndarray:
+        return rng.integers(0, duration_us, size=rng.poisson(expected_count), dtype=np.int64)
+
     streams = []
     for x, y, p, rate in noise.hot_pixels:
-        if rate <= 0:
-            continue
         if noise.deterministic:
-            count = int(np.floor(rate * duration_us * 1e-6))
-            k = np.arange(1, count + 1, dtype=np.float64)
-            times = np.floor(k * 1e6 / rate).astype(np.uint64)
+            times = np.floor(np.arange(1, int(rate * duration_us * 1e-6) + 1) * 1e6 / rate)
         else:
-            gaps = rng.exponential(1e6 / rate, size=max(16, int(2 * rate * duration_us * 1e-6) + 16))
-            times = np.cumsum(gaps)
-            while times[-1] < duration_us:
-                more = rng.exponential(1e6 / rate, size=16)
-                times = np.concatenate([times, times[-1] + np.cumsum(more)])
-            times = times[times <= duration_us].astype(np.uint64)
+            times = poisson_times(rate * duration_us * 1e-6)
         streams.append(make_events(times, x, y, p))
-    return streams
-
-
-def _background_events(
-    noise: NoiseSpec, geometry: SensorGeometry, duration_us: int, rng
-) -> list[np.ndarray]:
-    if noise.background_rate <= 0:
-        return []
-    mean = noise.background_rate * duration_us * 1e-6 * geometry.width * geometry.height
-    n = rng.poisson(mean)
-    t = rng.integers(0, duration_us, size=n, dtype=np.int64)
-    x = rng.integers(0, geometry.width, size=n)
-    y = rng.integers(0, geometry.height, size=n)
-    p = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-    return [make_events(t, x, y, p)]
+    w, h = geometry.width, geometry.height
+    t = poisson_times(noise.background_rate * duration_us * 1e-6 * w * h)
+    x = rng.integers(0, w, size=t.shape[0])
+    y = rng.integers(0, h, size=t.shape[0])
+    p = rng.choice(np.array([-1, 1], dtype=np.int8), size=t.shape[0])
+    return streams + [make_events(t, x, y, p)]
 
 
 def _canonical_sort(events: np.ndarray) -> np.ndarray:
@@ -213,9 +202,7 @@ def simulate_events(scene: SceneSpec, noise: NoiseSpec | None = None) -> np.ndar
             )
         )
     if noise is not None:
-        rng = np.random.default_rng(noise.rng_seed)
-        chunks.extend(_hot_pixel_events(noise, scene.duration_us, rng))
-        chunks.extend(_background_events(noise, geo, scene.duration_us, rng))
+        chunks.extend(_noise_events(noise, geo, scene.duration_us))
     if not chunks:
         return np.empty(0, dtype=EVENT_DTYPE)
     return _canonical_sort(np.concatenate(chunks))

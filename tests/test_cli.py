@@ -453,6 +453,79 @@ def test_resume_at_other_segment_duration(evt1, tmp_path, capsys, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("simulate", "-o"),
+        ("intensity", "-o"),
+        ("intensity", "--save-state"),
+        ("pretrain-toy", "-o"),
+        ("pretrain-toy", "--params"),
+        ("report", "--report"),
+    ],
+)
+def test_output_written_at_exact_path(evt1, tmp_path, command, flag):
+    """A path without a suffix gets no suffix added, and no other file appears beside it."""
+    frames = tmp_path / "frames.intf"
+    argv = {
+        "simulate": ["simulate", str(SCENES / "disc.scene")],
+        "intensity": ["intensity", str(evt1), "--segment-ms", "10", "--bins", "2",
+                      "--segments", "3"],
+        "pretrain-toy": ["pretrain-toy", str(SCENES / "disc.scene"), "--steps", "1"],
+        "report": ["report", str(frames), str(SCENES / "disc.scene")],
+    }[command]
+    if command == "report":
+        assert main(["intensity", str(evt1), "-o", str(frames), "--segments", "2"]) == 0
+    elif flag != "-o":
+        argv += ["-o", str(tmp_path / "main-output")]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(argv + [flag, str(out_dir / "result")]) == 0
+    assert [path.name for path in out_dir.iterdir()] == ["result"]
+
+
+@pytest.mark.parametrize("method", ["decay", "adaptive"])
+def test_resume_from_state_path_without_suffix(evt1, tmp_path, method):
+    def run(name, *flags):
+        out = tmp_path / f"{name}.intf"
+        assert main(["intensity", str(evt1), "-o", str(out), "--method", method,
+                     "--segment-ms", "10", "--bins", "2", *flags]) == 0
+        return [f.tobytes() for f in read_intf(out)[0]]
+
+    state = str(tmp_path / "s")
+    split = run("a", "--segments", "3", "--save-state", state)
+    split += run("b", "--segments", "4", "--resume", state)
+    assert split == run("single", "--segments", "7")
+
+
+def test_negative_exponent_value_parses(evt1, tmp_path):
+    """``--threshold -1e3`` is the value -1e3, as ``--threshold=-1e3`` is."""
+    outputs = []
+    for name, flags in (("spaced", ["--threshold", "-1e3"]), ("joined", ["--threshold=-1e3"])):
+        out = tmp_path / f"{name}.intf"
+        assert main(["intensity", str(evt1), "-o", str(out), "--segments", "2", *flags]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--threshold", "-inf", "threshold must be finite"),
+        ("--alpha", "-1e3", "alpha must be finite and >= 0"),
+    ],
+)
+def test_negative_float_value_reaches_range_check(evt1, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "frames.intf"
+    with pytest.raises(SystemExit) as exc:
+        main(["intensity", str(evt1), "-o", str(out), flag, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"{flag} {float(value):g}" in err and message in err
+    assert "expected one argument" not in err
+    assert not out.exists()
+
+
 def test_pgm_previews(evt1, tmp_path):
     out = tmp_path / "frames.intf"
     pgm_dir = tmp_path / "previews"

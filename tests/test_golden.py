@@ -5,7 +5,10 @@ Pinned: the INTF file of both estimators, run once and run split after
 segment 3 and resumed; the TUBE mask blob; the flattened, masked
 histograms of every segment; and the patch-normalized adaptive frames.
 Patch sizes 8 and 5 give a 4x2 grid of full patches and a 7x4 grid with
-ragged bottom and right edges. A refactor must leave each digest unchanged.
+ragged bottom and right edges. The simulator's noisy streams are pinned
+as EVT1 record bytes: ``noisy_disc``'s own noise, and deterministic hot
+pixels (one of rate 0) plus seeded background on the conftest disc. A
+refactor must leave each digest unchanged.
 State files are not pinned: their key set is not part of the contract.
 
 The simulator's float math may round differently under another numpy, so
@@ -21,6 +24,7 @@ import pytest
 from evprep import (
     IntensityConfig,
     Method,
+    NoiseSpec,
     PatchGrid,
     SegmentConfig,
     apply_mask,
@@ -35,6 +39,7 @@ from evprep import (
 from evprep.formats import write_intf
 from evprep.masking import serialize_mask
 from evprep.scenefile import load_scene
+from conftest import disc_scene
 
 NUMPY_VERSION = "2.4.6"
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -66,6 +71,10 @@ GOLDEN = {
 TUBE = {
     8: "d3209274c39d05f9c9d7e6a2d4d3264badafaae0a698bca78c2d6272aaf25db2",
     5: "6fe0d566356f63e1dc32b808d653731b1d5f9be789c2721afc49a5c76243dcc9",
+}
+NOISE = {
+    "noisy_disc": "92af4c320d8e05ea82e3838155ef44ec6d4649bfdd35e1f3fd921693fc9efd6b",
+    "deterministic_hot_pixels": "7750200bd95e4fabc54a1e263b43aafe386517a66abbfab4c86859e40dd9c62d",
 }
 
 pytestmark = pytest.mark.skipif(
@@ -134,3 +143,16 @@ def test_normalized_targets(name):
             for frame in frames
         )
         assert sha256(targets) == GOLDEN[name][f"targets_p{patch}"]
+
+
+def noisy_events(name):
+    if name == "noisy_disc":
+        return simulate_events(*load_scene(SCENES / "noisy_disc.scene"))
+    hot_pixels = [(1, 1, 1, 500.0), (5, 9, -1, 1234.5), (7, 3, 1, 0.0)]
+    noise = NoiseSpec(hot_pixels, background_rate=3.0, rng_seed=11, deterministic=True)
+    return simulate_events(disc_scene(), noise)
+
+
+@pytest.mark.parametrize("name", sorted(NOISE))
+def test_noise_streams(name):
+    assert sha256(noisy_events(name).tobytes()) == NOISE[name]

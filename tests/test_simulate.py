@@ -1,5 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evprep import (
     MovingDisc,
@@ -118,6 +123,39 @@ def test_hot_pixel_deterministic_count(scene):
     extra = with_noise[(with_noise["x"] == 3) & (with_noise["y"] == 3)]
     base_here = base[(base["x"] == 3) & (base["y"] == 3)]
     assert extra.shape[0] - base_here.shape[0] == 100
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 5000.0), st.integers(0, 20))
+@settings(max_examples=50, deadline=None)
+def test_poisson_hot_pixel_times_in_duration_and_seeded(seed, rate, samples):
+    scene = SceneSpec(SensorGeometry(8, 8), 0.0, [], samples * 1000, 1.0, 1000)
+    noise = NoiseSpec(hot_pixels=[(3, 4, -1, rate)], rng_seed=seed)
+    events = simulate_events(scene, noise)
+    assert np.array_equal(events, simulate_events(scene, noise))
+    assert (events["t"] < scene.duration_us).all()
+    assert ((events["x"] == 3) & (events["y"] == 4) & (events["p"] == -1)).all()
+
+
+@pytest.mark.parametrize(
+    "noise, expected",
+    [
+        pytest.param(NoiseSpec(hot_pixels=[(1, 1, 1, 700.0)]), 700.0 * 0.01, id="hot-pixel"),
+        pytest.param(NoiseSpec(background_rate=5.0), 5.0 * 0.01 * 16 * 12, id="background"),
+    ],
+)
+def test_poisson_mean_count(noise, expected):
+    """The mean count over 200 seeds is within 5 sigma of rate x duration."""
+    scene = static_scene()
+    counts = [simulate_events(scene, replace(noise, rng_seed=seed)).shape[0] for seed in range(200)]
+    assert abs(np.mean(counts) - expected) <= 5 * np.sqrt(expected / len(counts))
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "poisson"])
+def test_rate_zero_hot_pixel_no_events(deterministic):
+    noise = NoiseSpec(hot_pixels=[(2, 3, 1, 0.0)], deterministic=deterministic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert simulate_events(static_scene(), noise).shape[0] == 0
 
 
 def test_hot_pixel_outside_geometry_rejected(scene):
