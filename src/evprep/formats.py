@@ -172,7 +172,7 @@ def write_pgm(path, frame: np.ndarray) -> None:
     """
     lo, hi = float(frame.min()), float(frame.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    img = ((frame - lo) * scale).round().astype(np.uint8)
+    img = ((np.asarray(frame, np.float64) - lo) * scale).round().astype(np.uint8)
     h, w = img.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -240,15 +240,19 @@ def iter_sequence(
     checked, and the segments located, before this returns. It returns the
     state and a generator that, per segment, fetches its events, advances
     the state in place, sets its clock to the segment's end and yields a
-    float32 frame snapshot. A ``resume`` state continues with the
+    float32 frame snapshot. A ``resume`` state needs the run's config (a
+    decay state only its alpha and threshold) and continues with the
     segment starting at its clock, which must be a multiple of T, whichever
     T saved it: a split run is bit-identical to a single combined run.
     """
     if resume is not None:
         if resume.geometry != geometry:
             raise GeometryError("resume state geometry mismatch")
-        if resume.config != int_config:
-            raise ValueError("resume state config mismatch")
+        saved, run = resume.config, int_config
+        if run.method is Method.PER_EVENT_DECAY:  # the decay rule reads neither N nor T/B
+            run = replace(run, normalizer=saved.normalizer, bin_duration_us=saved.bin_duration_us)
+        if saved != run:
+            raise ValueError(f"resume state config mismatch: state {saved}, run {int_config}")
         state = resume
     else:
         state = IntensityState.initial(geometry, int_config)

@@ -31,7 +31,7 @@ def trail_energy(frames: list[np.ndarray], region: np.ndarray) -> list[float]:
     """Mean absolute frame value over the trail region, per frame."""
     if not region.any():
         raise ValueError("trail region is empty")
-    return [float(np.mean(np.abs(f[region]))) for f in frames]
+    return [float(np.mean(np.abs(f[region]), dtype=np.float64)) for f in frames]
 
 
 @dataclass(frozen=True)

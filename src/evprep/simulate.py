@@ -115,9 +115,10 @@ def render_logintensity(scene: SceneSpec, t_us: int) -> np.ndarray:
     return frame
 
 
-def _sample_times(scene: SceneSpec) -> np.ndarray:
+def _sample_times(scene: SceneSpec, t0_us: int, t1_us: int) -> range:
+    """The sample times in [t0, t1]: multiples of the sample interval in [0, duration]."""
     si = scene.sample_interval_us
-    return np.arange(si, scene.duration_us + 1, si, dtype=np.int64)
+    return range(-(-max(t0_us, 0) // si) * si, min(t1_us, scene.duration_us) + 1, si)
 
 
 def _noise_events(noise: NoiseSpec, geometry: SensorGeometry, duration_us: int) -> list[np.ndarray]:
@@ -177,9 +178,9 @@ def simulate_events(scene: SceneSpec, noise: NoiseSpec | None = None) -> np.ndar
         total = _count(total, noise.background_rate * geo.width * geo.height * duration_s)
     reference = render_logintensity(scene, 0)
     chunks = []
-    for t in _sample_times(scene):
+    for t in _sample_times(scene, 1, scene.duration_us):
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = render_logintensity(scene, int(t)) - reference
+            diff = render_logintensity(scene, t) - reference
             steps = np.floor(np.abs(diff) / C)
             more = steps.sum()
         if not np.isfinite(steps).all():
@@ -211,25 +212,18 @@ def simulate_events(scene: SceneSpec, noise: NoiseSpec | None = None) -> np.ndar
 def swept_region(scene: SceneSpec, t0_us: int, t1_us: int) -> np.ndarray:
     """Pixels covered by any disc at any sample time in [t0, t1], as
     :func:`render_logintensity` covers them."""
-    si = scene.sample_interval_us
-    start = (t0_us // si) * si
     covered = np.zeros((scene.geometry.height, scene.geometry.width), dtype=bool)
-    for t in range(max(0, start), min(t1_us, scene.duration_us) + 1, si):
+    for t in _sample_times(scene, t0_us, t1_us):
         for _, inside in _disc_coverage(scene, t):
             covered |= inside
     return covered
 
 
 def trail_region(scene: SceneSpec, t_after_us: int) -> np.ndarray:
-    """Pixels swept before ``t_after_us`` and never covered afterwards.
+    """Pixels covered at a sample time <= ``t_after_us`` and at none after it.
 
     This is the region where motion-blur residue lives: it saw events
     during the disc's passage but receives none later.
     """
-    before = swept_region(scene, 0, t_after_us)
-    si = scene.sample_interval_us
-    after_start = t_after_us + si
-    if after_start > scene.duration_us:
-        return before
-    after = swept_region(scene, after_start, scene.duration_us)
-    return before & ~after
+    after = swept_region(scene, t_after_us + 1, scene.duration_us)
+    return swept_region(scene, 0, t_after_us) & ~after

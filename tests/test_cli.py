@@ -555,6 +555,74 @@ def test_report_table_and_json(evt1, tmp_path, capsys):
     assert payload["trail_pixels"] > 0
 
 
+@pytest.mark.parametrize("after_us", ["99000", "99500"])
+def test_report_trail_after_the_last_interval(evt1, tmp_path, after_us):
+    # the disc covers 21 pixels at t = 100000, the last sample after either time
+    frames = tmp_path / "frames.intf"
+    main(["intensity", str(evt1), "-o", str(frames), "--segments", "2"])
+    report = tmp_path / "report.json"
+    assert main(["report", str(frames), str(SCENES / "disc.scene"),
+                 "--after-us", after_us, "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["trail_pixels"] == 120
+
+
+def test_previews_and_report_of_frames_near_float32_max(evt1, tmp_path, capsys):
+    frames = tmp_path / "frames.intf"
+    pgm_dir = tmp_path / "previews"
+    assert main(["intensity", str(evt1), "-o", str(frames), "--segment-ms", "10",
+                 "--bins", "2", "--threshold", "3e38", "--pgm-dir", str(pgm_dir)]) == 0
+    for path, frame in zip(sorted(pgm_dir.glob("*.pgm")), read_intf(frames)[0], strict=True):
+        pixels = np.frombuffer(path.read_bytes().split(b"\n", 3)[3], dtype=np.uint8)
+        if frame.min() < frame.max():
+            assert pixels.min() == 0 and pixels.max() == 255
+    capsys.readouterr()
+    assert main(["report", str(frames), str(SCENES / "disc.scene")]) == 0
+    energies = [float(line.split()[1]) for line in capsys.readouterr().out.splitlines()]
+    assert len(energies) == 10
+    assert all(0 < e < 3.5e38 for e in energies)
+
+
+def test_decay_resume_under_other_bins_and_normalizer(evt1, tmp_path):
+    def run(name, *flags):
+        out = tmp_path / f"{name}.intf"
+        assert main(["intensity", str(evt1), "-o", str(out), "--method", "decay",
+                     "--segment-ms", "10", *flags]) == 0
+        return [f.tobytes() for f in read_intf(out)[0]]
+
+    state = str(tmp_path / "s1")
+    split = run("first", "--bins", "2", "--segments", "4", "--save-state", state)
+    split += run("resumed", "--bins", "5", "--normalizer", "7", "--resume", state)
+    assert split == run("single", "--bins", "5")
+
+
+@pytest.mark.parametrize(
+    "method, first, resumed, saved_field, run_field",
+    [
+        ("adaptive", ["--bins", "2"], ["--bins", "5"],
+         "bin_duration_us=5000", "bin_duration_us=2000"),
+        ("adaptive", ["--normalizer", "5000"], ["--normalizer", "7"],
+         "normalizer=5000", "normalizer=7"),
+        ("decay", ["--alpha", "5"], ["--alpha", "7"], "alpha_per_s=5.0", "alpha_per_s=7.0"),
+        ("decay", ["--threshold", "1"], ["--threshold", "2"], "threshold=1.0", "threshold=2.0"),
+    ],
+    ids=["adaptive-bins", "adaptive-normalizer", "decay-alpha", "decay-threshold"],
+)
+def test_resume_config_mismatch_names_both(
+    evt1, tmp_path, capsys, method, first, resumed, saved_field, run_field
+):
+    state = tmp_path / "s1"
+    argv = ["intensity", str(evt1), "--method", method, "--segment-ms", "10"]
+    assert main(argv + ["-o", str(tmp_path / "a.intf"), "--segments", "4", *first,
+                        "--save-state", str(state)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "b.intf"
+    assert main(argv + ["-o", str(out), *resumed, "--resume", str(state)]) == 2
+    saved, run = capsys.readouterr().err.split(", run IntensityConfig(")
+    assert "resume state config mismatch: state IntensityConfig(" in saved
+    assert saved_field in saved and run_field in run
+    assert not out.exists()
+
+
 def test_report_geometry_mismatch(tmp_path, evt1):
     from evprep.formats import write_intf
 

@@ -258,6 +258,13 @@ def test_pgm_writer(tmp_path):
     assert pixels.min() == 0 and pixels.max() == 255
 
 
+def test_pgm_rescales_float32_extremes(tmp_path):
+    path = tmp_path / "extremes.pgm"
+    write_pgm(path, np.array([[-3e38, 3e38]], dtype=np.float32))
+    pixels = np.frombuffer(path.read_bytes().split(b"\n", 3)[3], dtype=np.uint8)
+    assert list(pixels) == [0, 255]
+
+
 def test_pgm_constant_frame(tmp_path):
     path = tmp_path / "flat.pgm"
     write_pgm(path, np.full((4, 4), 2.5))

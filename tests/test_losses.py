@@ -89,6 +89,14 @@ def test_trail_energy_zero_frames():
     assert energies == [0.0, 0.0, 0.0]
 
 
+def test_trail_energy_of_float32_extremes():
+    region = np.zeros((16, 16), dtype=bool)
+    region[4:8, 4:8] = True
+    frame = np.full((16, 16), 3e38, dtype=np.float32)
+    frame[4:6] *= -1
+    assert trail_energy([frame], region) == [float(np.float32(3e38))]
+
+
 def test_trail_energy_empty_region():
     with pytest.raises(ValueError):
         trail_energy([np.zeros((16, 16))], np.zeros((16, 16), dtype=bool))

@@ -1,5 +1,7 @@
+import hashlib
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,10 @@ from evprep import (
     swept_region,
     trail_region,
 )
+from evprep.scenefile import load_scene
 from conftest import disc_scene
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def static_scene(**kw):
@@ -214,3 +219,53 @@ def test_trail_region_excludes_later_footprint(scene):
     late = swept_region(scene, scene.duration_us // 2 + 1000, scene.duration_us)
     assert region.any()
     assert not (region & late).any()
+
+
+@pytest.mark.parametrize(
+    "t0, t1, samples",
+    [
+        pytest.param(1500, 1500, [], id="t0-between-samples"),
+        pytest.param(1500, 3000, [2000, 3000], id="t0-not-a-multiple"),
+        pytest.param(100_001, 200_000, [], id="t0-past-duration"),
+        pytest.param(100_000, 200_000, [100_000], id="t1-past-duration"),
+        pytest.param(-5000, 1000, [0, 1000], id="t0-negative"),
+    ],
+)
+def test_swept_region_covers_the_samples_in_the_interval(t0, t1, samples):
+    scene = disc_scene()  # a bright disc on a 0.0 background
+    expected = np.zeros((16, 32), dtype=bool)
+    for t in samples:
+        expected |= render_logintensity(scene, t) != 0.0
+    assert np.array_equal(swept_region(scene, t0, t1), expected)
+
+
+# sha256 of np.packbits over trail_region(scene, t) stacked for every
+# multiple t of the sample interval in [0, duration]
+TRAIL_DIGESTS = {
+    "disc": "7bdebcd725f39f399560967b540cb4b3b0d2810619b791bf3537436c20950d13",
+    "stop_motion": "88513f52d256680c5f4ca12fd117889c705d245041a02612fb984c50865657a4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAIL_DIGESTS))
+def test_trail_region_is_covered_before_and_never_after(name):
+    """For every t in [0, duration] in 250 us steps, the trail is the pixels a
+    disc covers at some sample <= t and at no sample > t."""
+    scene, _ = load_scene(SCENES / f"{name}.scene")
+    si = scene.sample_interval_us
+    times = range(0, scene.duration_us + 1, si)
+    background = scene.background_logintensity
+    covered = np.stack([render_logintensity(scene, t) != background for t in times])
+    before = np.logical_or.accumulate(covered)  # [k]: samples 0..k
+    after = np.logical_or.accumulate(covered[::-1])[::-1]  # [k]: samples k..
+    pinned = []
+    for t_after in range(0, scene.duration_us + 1, 250):
+        k = t_after // si  # the last sample <= t_after
+        later = after[k + 1] if k + 1 < len(times) else np.zeros_like(before[k])
+        region = trail_region(scene, t_after)
+        assert not (region & later).any()
+        assert np.array_equal(region, before[k] & ~later)
+        if t_after % si == 0:
+            pinned.append(region)
+    digest = hashlib.sha256(np.packbits(np.stack(pinned)).tobytes()).hexdigest()
+    assert digest == TRAIL_DIGESTS[name]
