@@ -1,5 +1,5 @@
-"""Binary and text file formats: EVT1 event files, INTF frame stacks,
-PGM previews, text event lists, and resumable estimator state."""
+"""Binary and text file formats: the four binary headers, EVT1 event files,
+INTF frame stacks, PGM previews, text event lists, and estimator state."""
 
 from __future__ import annotations
 
@@ -14,22 +14,36 @@ from evprep.errors import FormatError, GeometryError
 from evprep.events import EVENT_DTYPE, SensorGeometry
 from evprep.intensity import IntensityConfig, IntensityState, Method
 
-EVT1_MAGIC = b"EVT1"
-INTF_MAGIC = b"INTF"
 
-# EVT1: 16-byte header, then packed 13-byte records (u64 t, u16 x, u16 y, i8 p)
-_EVT1_HEADER = struct.Struct("<4sHHII")
-# INTF: 12-byte header, then f32 frames
-_INTF_HEADER = struct.Struct("<4sHHI")
+class Header:
+    """A 4-byte magic, then little-endian fields that fix the payload's size."""
+
+    def __init__(self, magic: bytes, fields: str):
+        self.magic, self.fields = magic, struct.Struct("<" + fields)
+        self.size = len(magic) + self.fields.size
+
+    def pack(self, *values: int) -> bytes:
+        return self.magic + self.fields.pack(*values)
+
+    def unpack(self, data: bytes, path=None) -> tuple[int, ...]:
+        """The fields at the start of ``data``: a FormatError if it is short or has no magic."""
+        where, name = ("" if path is None else f"{path}: "), self.magic.decode()
+        if len(data) < self.size:
+            raise FormatError(f"{where}truncated {name} header")
+        if data[:4] != self.magic:
+            raise FormatError(f"{where}bad magic {bytes(data[:4])!r}, expected {name}")
+        return self.fields.unpack_from(data, 4)
+
+
+EVT1 = Header(b"EVT1", "HHII")  # width, height, 0, count; then 13-byte records
+INTF = Header(b"INTF", "HHI")  # width, height, count; then f32 frames
+TUBE = Header(b"TUBE", "HHI")  # grid width, grid height, seed; then packed mask bits
+TOYP = Header(b"TOYP", "HHHB")  # patch, embed, channels, recurrent; then f64 weights
 
 
 def write_evt1(path, events: np.ndarray, geometry: SensorGeometry) -> None:
     with open(path, "wb") as fh:
-        fh.write(
-            _EVT1_HEADER.pack(
-                EVT1_MAGIC, geometry.width, geometry.height, 0, events.shape[0]
-            )
-        )
+        fh.write(EVT1.pack(geometry.width, geometry.height, 0, events.shape[0]))
         fh.write(np.ascontiguousarray(events, dtype=EVENT_DTYPE).tobytes())
 
 
@@ -61,7 +75,7 @@ class EVT1Records:
         with open(self.path, "rb") as fh:
             if _version(fh) != self.version:
                 raise FormatError(f"{self.path}: file changed while it was read")
-            fh.seek(_EVT1_HEADER.size + lo * EVENT_DTYPE.itemsize)
+            fh.seek(EVT1.size + lo * EVENT_DTYPE.itemsize)
             return np.fromfile(fh, dtype=EVENT_DTYPE, count=max(0, hi - lo))
 
 
@@ -73,15 +87,9 @@ def open_evt1(path) -> tuple[EVT1Records, SensorGeometry]:
     as text-file records are.
     """
     with open(path, "rb") as fh:
-        header = fh.read(_EVT1_HEADER.size)
+        width, height, _, hint = EVT1.unpack(fh.read(EVT1.size), path)
         version = _version(fh)
-    payload = version[1] - _EVT1_HEADER.size
-    if len(header) < _EVT1_HEADER.size:
-        raise FormatError(f"{path}: truncated EVT1 header")
-    magic, width, height, _, hint = _EVT1_HEADER.unpack(header)
-    if magic != EVT1_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected EVT1")
-    count, rest = divmod(payload, EVENT_DTYPE.itemsize)
+    count, rest = divmod(version[1] - EVT1.size, EVENT_DTYPE.itemsize)
     if rest:
         raise FormatError(f"{path}: event payload not a whole number of records")
     if hint != count:
@@ -137,31 +145,29 @@ def write_intf(path, frames: Iterable[np.ndarray], geometry: SensorGeometry) -> 
     with open(path, "wb") as fh:
         if not fh.seekable():
             raise OSError(f"{path}: INTF output must be a seekable file")
-        fh.write(_INTF_HEADER.pack(INTF_MAGIC, geometry.width, geometry.height, 0))
+        fh.write(INTF.pack(geometry.width, geometry.height, 0))
         for count, frame in enumerate(frames, start=1):
             frame = np.ascontiguousarray(frame, dtype="<f4")
             if frame.shape != shape:
                 raise GeometryError(f"frame {count - 1} is {frame.shape}, expected {shape}")
             fh.write(frame)
         fh.seek(0)
-        fh.write(_INTF_HEADER.pack(INTF_MAGIC, geometry.width, geometry.height, count))
+        fh.write(INTF.pack(geometry.width, geometry.height, count))
     return count
 
 
 def read_intf(path) -> tuple[list[np.ndarray], SensorGeometry]:
-    """Read an INTF file into one (count, H, W) array; the frames are its views."""
+    """The frames of an INTF file, all finite, as views of one (count, H, W) array."""
     with open(path, "rb") as fh:
-        header = fh.read(_INTF_HEADER.size)
-        if len(header) < _INTF_HEADER.size:
-            raise FormatError(f"{path}: truncated INTF header")
-        magic, width, height, count = _INTF_HEADER.unpack(header)
-        if magic != INTF_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected INTF")
-        payload = os.fstat(fh.fileno()).st_size - _INTF_HEADER.size
+        width, height, count = INTF.unpack(fh.read(INTF.size), path)
+        payload = os.fstat(fh.fileno()).st_size - INTF.size
         values = count * height * width
         if payload != 4 * values:
             raise FormatError(f"{path}: payload holds {payload} bytes, expected {4 * values}")
         frames = np.fromfile(fh, dtype="<f4", count=values).reshape(count, height, width)
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=(1, 2)))
+    if bad.size:
+        raise FormatError(f"{path}: frame {bad[0]} holds non-finite values")
     return list(frames), SensorGeometry(width, height)
 
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from evprep.errors import FormatError, GeometryError
+from evprep.formats import TUBE
 
-TUBE_MAGIC = b"TUBE"
 # variance floor of the MAE normalized-pixel target (He et al., arXiv 2111.06377)
 EPSILON = 1e-6
 
@@ -146,17 +145,15 @@ def normalize_patches(target: np.ndarray, grid: PatchGrid) -> np.ndarray:
 
 
 def serialize_mask(mask: TubeMask) -> bytes:
-    """Bit-packed row-major blob with a 12-byte header."""
+    """A TUBE header, then the mask bit-packed in row-major order."""
     gh, gw = mask.masked.shape
-    header = TUBE_MAGIC + struct.pack("<HHI", gw, gh, mask.rng_seed & 0xFFFFFFFF)
+    header = TUBE.pack(gw, gh, mask.rng_seed & 0xFFFFFFFF)
     return header + np.packbits(mask.masked.reshape(-1)).tobytes()
 
 
 def deserialize_mask(blob: bytes) -> TubeMask:
-    if len(blob) < 12 or blob[:4] != TUBE_MAGIC:
-        raise FormatError("not a TUBE mask blob")
-    gw, gh, seed = struct.unpack("<HHI", blob[4:12])
-    payload, expected = np.frombuffer(blob[12:], dtype=np.uint8), -(-gh * gw // 8)
+    gw, gh, seed = TUBE.unpack(blob)
+    payload, expected = np.frombuffer(blob[TUBE.size :], dtype=np.uint8), -(-gh * gw // 8)
     if payload.size != expected:
         raise FormatError(f"TUBE payload of {payload.size} bytes, expected {expected}")
     bits = np.unpackbits(payload, count=gh * gw)

@@ -10,7 +10,7 @@ finite-difference gradient checks hold at tight tolerance.
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +23,9 @@ from evprep.events import (
     flatten_histogram,
     segment_stream,
 )
+from evprep.formats import TOYP
 from evprep.intensity import IntensityConfig, run_sequence
 from evprep.masking import PatchGrid, TubeMask, apply_mask, normalize_patches, sample_tube_mask
-
-PARAM_MAGIC = b"TOYP"
 
 PARAM_ORDER = ("embed", "rec_c", "rec_f", "rec_bias", "decode")
 
@@ -43,8 +42,9 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
+        for name in ("patch_size", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def n_in(self) -> int:
@@ -59,11 +59,6 @@ class ToyModelConfig:
 class ToyModelState:
     config: ToyModelConfig
     params: dict[str, np.ndarray]
-
-
-def _uniform(rng, fan_in, shape):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def param_shapes(config: ToyModelConfig) -> dict[str, tuple[int, ...]]:
@@ -84,9 +79,10 @@ def init_model(config: ToyModelConfig) -> ToyModelState:
     D = config.embed_dim
     # the recurrent maps and bias take [c_prev, f], 2D inputs
     fan_in = {"embed": config.n_in, "decode": D}
-    params = {
-        k: _uniform(rng, fan_in.get(k, 2 * D), shape) for k, shape in param_shapes(config).items()
-    }
+    params = {}
+    for k, shape in param_shapes(config).items():
+        bound = 1.0 / np.sqrt(fan_in.get(k, 2 * D))
+        params[k] = rng.uniform(-bound, bound, size=shape)
     return ToyModelState(config=config, params=params)
 
 
@@ -204,23 +200,23 @@ def unflatten_params(vec: np.ndarray, template: dict) -> dict[str, np.ndarray]:
 
 def serialize_params(state: ToyModelState) -> bytes:
     cfg = state.config
-    header = PARAM_MAGIC + struct.pack(
-        "<HHHB", cfg.patch_size, cfg.embed_dim, cfg.in_channels, int(cfg.recurrent)
-    )
+    header = TOYP.pack(cfg.patch_size, cfg.embed_dim, cfg.in_channels, int(cfg.recurrent))
     return header + flatten_params(state.params).astype("<f8").tobytes()
 
 
 def deserialize_params(blob: bytes) -> ToyModelState:
-    if len(blob) < 11 or blob[:4] != PARAM_MAGIC:
-        raise FormatError("not a toy-model parameter blob")
-    P, D, C, rec = struct.unpack("<HHHB", blob[4:11])
-    # embed (C*P*P, D), rec_c and rec_f (D, D), rec_bias (D,), decode (D, P*P)
-    size = 8 * D * (C * P * P + 2 * D + 1 + P * P)
-    if D < 1 or len(blob) - 11 != size:
-        raise FormatError(f"TOYP payload of {len(blob) - 11} bytes, expected {size} (embed {D})")
-    config = ToyModelConfig(P, D, C, recurrent=bool(rec))
-    vec = np.frombuffer(blob, dtype="<f8", offset=11).astype(np.float64)
-    return ToyModelState(config=config, params=unflatten_params(vec, param_shapes(config)))
+    P, D, C, rec = TOYP.unpack(blob)
+    payload = len(blob) - TOYP.size
+    try:
+        config = ToyModelConfig(P, D, C, recurrent=bool(rec))
+    except ValueError as exc:
+        raise FormatError(f"TOYP payload of {payload} bytes under a bad header: {exc}") from exc
+    shapes = param_shapes(config)
+    size = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if payload != size:
+        raise FormatError(f"TOYP payload of {payload} bytes, expected {size}")
+    vec = np.frombuffer(blob, dtype="<f8", offset=TOYP.size).astype(np.float64)
+    return ToyModelState(config=config, params=unflatten_params(vec, shapes))
 
 
 def train_toy(

@@ -20,7 +20,9 @@ from evprep.formats import (
     write_intf,
     write_pgm,
 )
+from evprep.masking import deserialize_mask
 from evprep.scenefile import load_scene
+from evprep.toymodel import deserialize_params
 
 from conftest import synthetic_events
 
@@ -214,6 +216,50 @@ def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, data, reader, me
     assert main([command[0], str(path)] + command[1:]) == 2
     assert capsys.readouterr().err == f"evprep: error: {path}{message}\n"
     assert not (tmp_path / "o.intf").exists()
+
+
+@pytest.mark.parametrize(
+    "magic, size, reader, from_file",
+    [
+        (b"EVT1", 16, open_evt1, True),
+        (b"EVT1", 16, read_evt1, True),
+        (b"INTF", 12, read_intf, True),
+        (b"TUBE", 12, deserialize_mask, False),
+        (b"TOYP", 11, deserialize_params, False),
+    ],
+    ids=["open_evt1", "read_evt1", "read_intf", "deserialize_mask", "deserialize_params"],
+)
+def test_every_header_checks_length_then_magic(tmp_path, magic, size, reader, from_file):
+    path = tmp_path / "input"
+
+    def message(data):
+        if from_file:
+            path.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            reader(path if from_file else data)
+        return str(exc.value)
+
+    prefix, name = f"{path}: " if from_file else "", magic.decode()
+    for length in range(size):
+        assert message((magic + bytes(size))[:length]) == f"{prefix}truncated {name} header"
+    assert message(b"NOPE" + bytes(size)) == f"{prefix}bad magic b'NOPE', expected {name}"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_intf_rejects_non_finite_frames(tmp_path, capsys, value):
+    geometry = SensorGeometry(32, 16)
+    frames = [np.zeros((geometry.height, geometry.width), np.float32) for _ in range(4)]
+    frames[2][:] = value
+    frames[3][5, 7] = value
+    path = tmp_path / "bad.intf"
+    write_intf(path, frames, geometry)
+    message = f"{path}: frame 2 holds non-finite values"
+    with pytest.raises(FormatError) as exc:
+        read_intf(path)
+    assert str(exc.value) == message
+    assert main(["report", str(path), SCENE]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"evprep: error: {message}\n"
 
 
 def test_intf_roundtrip(tmp_path, rng):

@@ -7,8 +7,9 @@ histograms of every segment; and the patch-normalized adaptive frames.
 Patch sizes 8 and 5 give a 4x2 grid of full patches and a 7x4 grid with
 ragged bottom and right edges. The simulator's noisy streams are pinned
 as EVT1 record bytes: ``noisy_disc``'s own noise, and deterministic hot
-pixels (one of rate 0) plus seeded background on the conftest disc. A
-refactor must leave each digest unchanged.
+pixels (one of rate 0) plus seeded background on the conftest disc. The
+EVT1 files `evprep simulate` writes for the three scene files are pinned
+whole, header included. A refactor must leave each digest unchanged.
 State files are not pinned: their key set is not part of the contract.
 
 The simulator's float math may round differently under another numpy, so
@@ -36,6 +37,7 @@ from evprep import (
     segment_stream,
     simulate_events,
 )
+from evprep.cli import main
 from evprep.formats import write_intf
 from evprep.masking import serialize_mask
 from evprep.scenefile import load_scene
@@ -75,6 +77,12 @@ TUBE = {
 NOISE = {
     "noisy_disc": "92af4c320d8e05ea82e3838155ef44ec6d4649bfdd35e1f3fd921693fc9efd6b",
     "deterministic_hot_pixels": "7750200bd95e4fabc54a1e263b43aafe386517a66abbfab4c86859e40dd9c62d",
+}
+# the EVT1 file of `evprep simulate SCENE.scene`
+EVT1 = {
+    "disc": "16159f6b655dfe23d5a76937b0421013fd8eb5899e3d415118ae74c45a5c6a50",
+    "noisy_disc": "1fc4de60e390906aad08bbbd2b3dec50792098746fbb31f95fb07f7d49b4bb5d",
+    "stop_motion": "dbb4d8489667919e6522db77654d1d383a09618ed352606cb00e40539d0cad1a",
 }
 
 pytestmark = pytest.mark.skipif(
@@ -156,3 +164,10 @@ def noisy_events(name):
 @pytest.mark.parametrize("name", sorted(NOISE))
 def test_noise_streams(name):
     assert sha256(noisy_events(name).tobytes()) == NOISE[name]
+
+
+@pytest.mark.parametrize("name", sorted(EVT1))
+def test_simulate_evt1_files(tmp_path, name):
+    out = tmp_path / f"{name}.evt1"
+    assert main(["simulate", str(SCENES / f"{name}.scene"), "-o", str(out)]) == 0
+    assert sha256(out.read_bytes()) == EVT1[name]

@@ -2,8 +2,9 @@
 
 Pinned: the loss curve and the final parameters (in ``PARAM_ORDER``, as
 little-endian float64) of a recurrent and a feedforward model on each of
-the two lockstep scenes, at the criterion-7 settings with fewer steps. A
-refactor of the trainer must leave each digest unchanged.
+the two lockstep scenes, at the criterion-7 settings with fewer steps, and
+the TOYP blob ``serialize_params`` makes of those parameters. A refactor of
+the trainer or of the blob format must leave each digest unchanged.
 
 The simulator's float math may round differently under another numpy, so
 the digests hold only for the numpy version they were recorded with.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from evprep import IntensityConfig, Method, SegmentConfig, simulate_events
-from evprep.toymodel import ToyModelConfig, flatten_params, train_toy
+from evprep.toymodel import ToyModelConfig, flatten_params, serialize_params, train_toy
 from conftest import freeze_scene, training_scene
 
 NUMPY_VERSION = "2.4.6"
@@ -45,6 +46,13 @@ GOLDEN = {
         "38b424fd5f91bf6e3008608fd8a6e3223f8f827e537cce853a704122781dfcee",
     ),
 }
+# sha256 of serialize_params(state) after each run above
+TOYP = {
+    ("training", True): "93a328c082fb1875ffcd305c33500e595b27f56cd0926071609ef8bcda2c9c44",
+    ("training", False): "217c3e4a4a75a6c692dcef60c5d2b4bdfa95e0fa8b9e623cee13a0383516515d",
+    ("freeze", True): "641ed6063282ba2559f49de7313d1ed2fbac530fbee16c2f1bcb89f2267dcd40",
+    ("freeze", False): "39b82a03b970b04b9f132e19bc290f01368224954e59fbfcb1ad0010cb6197c9",
+}
 
 pytestmark = pytest.mark.skipif(
     np.__version__ != NUMPY_VERSION,
@@ -70,3 +78,20 @@ def test_train_toy_curve_and_params(name, recurrent):
         num_segments=num_segments,
     )
     assert (sha256(curve), sha256(flatten_params(state.params))) == GOLDEN[name, recurrent]
+
+
+@pytest.mark.parametrize("recurrent", [True, False], ids=["recurrent", "feedforward"])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_param_blob_bytes(name, recurrent):
+    """The same runs, pinned as the whole blob: the TOYP header, then the weights."""
+    scene, lr, embed_dim, num_segments = RUNS[name]
+    config = ToyModelConfig(
+        patch_size=8, embed_dim=embed_dim, in_channels=9, recurrent=recurrent, seed=0
+    )
+    spec = scene()
+    _, state = train_toy(
+        simulate_events(spec), spec.geometry, steps=STEPS, lr=lr, config=config, seg_config=SEG,
+        int_config=IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=5000),
+        num_segments=num_segments,
+    )
+    assert hashlib.sha256(serialize_params(state)).hexdigest() == TOYP[name, recurrent]

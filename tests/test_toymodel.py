@@ -144,6 +144,14 @@ ZERO_STAGE = np.zeros((5, 8, 8))
     [
         pytest.param(lambda: ToyModelConfig(4, 0, 5), ValueError, "embed_dim must be >= 1",
                      id="embed-dim"),
+        pytest.param(lambda: ToyModelConfig(0, 1, 5), ValueError, "patch_size must be >= 1",
+                     id="patch-size"),
+        # patch 0 at embed 1 holds 3 weights: rec_c, rec_f and rec_bias
+        pytest.param(lambda: deserialize_params(b"TOYP" + struct.pack("<HHHB", 0, 1, 5, 1)
+                                                + bytes(24)),
+                     FormatError,
+                     "TOYP payload of 24 bytes under a bad header: patch_size must be >= 1",
+                     id="blob-patch-size"),
         pytest.param(lambda: forward_sequence(init_model(small_config()), [np.zeros((4, 8, 8))]),
                      GeometryError, "expected 5 channels, got 4", id="channels"),
         pytest.param(change_patch_count, GeometryError, "patch count changed mid-sequence",
