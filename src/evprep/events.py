@@ -84,8 +84,9 @@ class StageHistogram:
 
     ``cells`` are the ascending flat indices into the (2, B, H, W) array of
     ``shape`` of the cells with at least one event, ``cell_counts`` their
-    counts. Plane 0 counts negative events, plane 1 positive. ``clip_max``
-    only affects the flattened model-input tensor; the raw counts stay exact.
+    counts; ``cells`` is int32 when 2*B*H*W <= 2**31, else intp. Plane 0
+    counts negative events, plane 1 positive. ``clip_max`` only affects the
+    flattened model-input tensor; the raw counts stay exact.
     """
 
     shape: tuple[int, int, int, int]
@@ -288,8 +289,9 @@ def build_histogram(
     validate_stream(ev, geometry)
     edges = bin_edges(segment, config)
     # the flat index ((polarity * B + bin) * H + y) * W + x, built in place:
-    # one array of n, where the bins as an np.repeat array would be a second
-    key = (ev["p"] > 0).astype(np.intp)
+    # one array of n, where the bins as an np.repeat array would be a second.
+    # int32 keys sort in about half the time of int64 ones when they fit.
+    key = (ev["p"] > 0).astype(np.int32 if 2 * B * H * W <= 2**31 else np.intp)
     key *= B
     for tau in range(1, B):
         key[edges[tau] : edges[tau + 1]] += tau

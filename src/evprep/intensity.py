@@ -194,6 +194,15 @@ def update_adaptive_batch(
     return state
 
 
+# A bin with at least H*W / 16 events takes its signed counts from one
+# bincount over the whole frame; a sparser one finds its own pixels through
+# the slot scratch first. On a 2-vCPU Xeon (numpy 2.4, CPython 3.11), one
+# 640x480 bin of uniform events took, slot against whole-frame bincount:
+# 98 against 384 us at 2k events, 223 against 421 us at 10k, 393 against
+# 420 us at 19.2k (H*W/16) and 645 against 447 us at 30k.
+_DENSE_BIN_EVENTS = 16
+
+
 def _update_adaptive_segment(
     state: IntensityState, segment: EventSegment, config: SegmentConfig
 ) -> None:
@@ -201,26 +210,35 @@ def _update_adaptive_segment(
 
     Bin tau is the slice of events between ``bin_edges`` tau and tau+1, as
     in ``build_histogram``. A non-silent bin decays the whole frame and adds
-    its exact signed counts, one bincount over ``slot``, to its own pixels.
-    The rest would get ``0.0 * threshold``: that changes only a -0.0, the
-    same way at any later point, so it is added once per segment instead.
+    its exact signed counts, one bincount over every pixel for a dense bin
+    (``_DENSE_BIN_EVENTS``), else over ``slot`` to its own pixels only. The
+    pixels a sparse bin skips would get ``0.0 * threshold``: that changes
+    only a -0.0, the same way at any later point, so it is added once per
+    segment instead.
     """
     events, cfg = segment.events, state.config
     state.frame = np.ascontiguousarray(state.frame)
     flat = state.frame.reshape(-1)  # a view, as frame is C-contiguous
     edges = bin_edges(segment, config).tolist()
     pix = events["y"].astype(np.intp) * state.geometry.width + events["x"]
-    slot = np.empty(flat.shape[0], dtype=np.intp)  # each bin writes what it reads
+    p, slot = events["p"], None
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi == lo:
             continue
-        b, index = pix[lo:hi], np.arange(hi - lo)
-        slot[b] = index
-        u = b[slot[b] == index]  # one event per pixel: the write that landed
-        slot[u] = np.arange(u.shape[0])
-        w = np.bincount(slot[b], weights=events["p"][lo:hi], minlength=u.shape[0])
+        b, u, size = pix[lo:hi], slice(None), flat.shape[0]  # a dense bin adds to every pixel
+        if _DENSE_BIN_EVENTS * (hi - lo) < flat.shape[0]:
+            if slot is None:
+                slot = np.empty(flat.shape[0], dtype=np.intp)  # each bin writes what it reads
+            index = np.arange(hi - lo)
+            slot[b] = index
+            u = b[slot[b] == index]  # one event per pixel: the write that landed
+            size = u.shape[0]
+            slot[u] = np.arange(size)
+            b = slot[b]
+        w = np.bincount(b, weights=p[lo:hi], minlength=size)
+        w *= cfg.threshold
         np.multiply(state.frame, _adaptive_decay(cfg, hi - lo), out=state.frame)
-        flat[u] += w * cfg.threshold
+        flat[u] += w
     if events.shape[0]:  # every event lies in a bin
         np.add(state.frame, 0.0 * cfg.threshold, out=state.frame)
 

@@ -145,9 +145,11 @@ def normalize_patches(target: np.ndarray, grid: PatchGrid) -> np.ndarray:
 
 
 def serialize_mask(mask: TubeMask) -> bytes:
-    """A TUBE header, then the mask bit-packed in row-major order."""
+    """A TUBE header, then the mask bit-packed in row-major order; the seed must fit a u32."""
+    if not 0 <= mask.rng_seed < 2**32:
+        raise ValueError(f"mask seed {mask.rng_seed} does not fit the TUBE header's u32")
     gh, gw = mask.masked.shape
-    header = TUBE.pack(gw, gh, mask.rng_seed & 0xFFFFFFFF)
+    header = TUBE.pack(gw, gh, mask.rng_seed)
     return header + np.packbits(mask.masked.reshape(-1)).tobytes()
 
 

@@ -42,7 +42,7 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("patch_size", "embed_dim"):
+        for name in ("patch_size", "embed_dim", "in_channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 

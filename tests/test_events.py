@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,26 @@ def test_histogram_memory_stays_compact():
     assert hist.total() == seg.num_events and flat.max() <= 10
     assert build_peak < 16 * 2**20, build_peak
     assert chain_peak < 40 * 2**20, chain_peak
+
+
+@pytest.mark.parametrize(
+    "width, dtype",
+    # B = 2 and H = 2**14: 2 * B * H * W is 2**31 at W = 2**15, and above it one column more
+    [(2**15, np.int32), (2**15 + 1, np.intp)],
+)
+def test_histogram_keys_at_int32_boundary(width, dtype):
+    B, H, W = 2, 2**14, width
+    geo, cfg = SensorGeometry(W, H), SegmentConfig(10, B)
+    # the last cell, (p = +1, bin 1, y = H - 1, x = W - 1), has the largest
+    # flat index: 2**31 - 1 at W = 2**15
+    column, row = [0, W - 1, 1, W - 1, W - 1], [0, H - 1, 7, H - 1, H - 1]
+    ev = make_events([0, 3, 5, 8, 9], column, row, [-1, 1, -1, 1, 1])
+    hist = build_histogram(EventSegment(1, ev), geo, cfg)
+    cells = Counter(((int(p > 0) * B + t // 5) * H + y) * W + x for t, x, y, p in ev.tolist())
+    assert hist.cells.dtype == dtype
+    assert hist.cells.tolist() == sorted(cells)
+    assert hist.cell_counts.tolist() == [cells[c] for c in sorted(cells)]
+    assert hist.cells[-1] == 2 * B * H * W - 1
 
 
 def test_build_flatten_deterministic(rng):

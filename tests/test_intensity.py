@@ -348,6 +348,18 @@ def adaptive_runs(draw):
         0,
     )
 )
+# on 40 pixels bin 0's 3 events are dense (16 * 3 >= 40) and take the
+# whole-frame bincount; bin 1's 2 events, both on pixel 5, take the slot path
+@example(
+    (
+        make_events([1, 2, 3, 6, 7], [0, 5, 5, 5, 5], [0, 0, 0, 0, 0], [1, -1, -1, 1, 1]),
+        SensorGeometry(40, 1),
+        SegmentConfig(10, 2),
+        adaptive_cfg(alpha_per_s=1e5, threshold=-1.5, normalizer=3, bin_duration_us=5),
+        1,
+        0,
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_adaptive_matches_histogram_oracle(run):
     events, geo, seg, cfg, num_segments, first = run
@@ -367,12 +379,18 @@ def test_adaptive_matches_histogram_oracle(run):
     assert state.last_update_time_us == num_segments * seg.segment_duration_us
 
 
-@pytest.mark.parametrize("threshold", [2.0, -2.0])
-def test_adaptive_signed_zero_matches_oracle(threshold):
+# a 1-event bin is dense on 2 pixels, where it adds to every pixel, and
+# sparse on 32, where it adds only to its own pixel (16 * 1 < 32)
+@pytest.mark.parametrize(
+    "threshold, width",
+    [(2.0, 2), (-2.0, 2), (2.0, 32), (-2.0, 32)],
+    ids=["2.0", "-2.0", "sparse-2.0", "sparse--2.0"],
+)
+def test_adaptive_signed_zero_matches_oracle(threshold, width):
     # bin 0 leaves pixel (0, 0) at -2; bin 1 has one event at pixel (1, 0)
     # and a decay of exactly 0, so pixel (0, 0) becomes -0.0, and the bin's
     # zero add, 0.0 * threshold, makes it +0.0 only for a positive threshold
-    geo, seg = SensorGeometry(2, 1), SegmentConfig(10, 2)
+    geo, seg = SensorGeometry(width, 1), SegmentConfig(10, 2)
     cfg = adaptive_cfg(alpha_per_s=1e12, threshold=threshold, bin_duration_us=5)
     events = make_events([1, 6], [0, 1], [0, 0], [-int(math.copysign(1, threshold)), 1])
     ref_state, ref_frames = adaptive_oracle(events, geo, seg, cfg, 1)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evprep import (
@@ -81,6 +81,10 @@ def test_apply_shape_mismatch():
                      "ratio must be in [0, 1]", id="ratio"),
         pytest.param(lambda: normalize_patches(np.zeros((16, 23)), GRID), GeometryError,
                      "target shape (16, 23) does not match grid 16x24", id="target-shape"),
+        # the header's u32 would store 5, which samples another mask
+        pytest.param(lambda: serialize_mask(sample_tube_mask(GRID, 0.5, seed=2**32 + 5)),
+                     ValueError, "mask seed 4294967301 does not fit the TUBE header's u32",
+                     id="seed-beyond-u32"),
     ],
 )
 def test_bad_arguments_rejected(call, error, message):
@@ -140,6 +144,7 @@ def test_padding_grid_geometry():
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(2**32 - 1, 0.5)  # the largest seed the header's u32 holds
 @settings(max_examples=50, deadline=None)
 def test_mask_serialization_roundtrip(seed, ratio):
     mask = sample_tube_mask(GRID, ratio, seed=seed)

@@ -152,6 +152,14 @@ ZERO_STAGE = np.zeros((5, 8, 8))
                      FormatError,
                      "TOYP payload of 24 bytes under a bad header: patch_size must be >= 1",
                      id="blob-patch-size"),
+        pytest.param(lambda: ToyModelConfig(4, 1, 0), ValueError, "in_channels must be >= 1",
+                     id="in-channels"),
+        # channels 0 at patch 1 and embed 1 holds 4 weights: rec_c, rec_f, rec_bias, decode
+        pytest.param(lambda: deserialize_params(b"TOYP" + struct.pack("<HHHB", 1, 1, 0, 1)
+                                                + bytes(32)),
+                     FormatError,
+                     "TOYP payload of 32 bytes under a bad header: in_channels must be >= 1",
+                     id="blob-in-channels"),
         pytest.param(lambda: forward_sequence(init_model(small_config()), [np.zeros((4, 8, 8))]),
                      GeometryError, "expected 5 channels, got 4", id="channels"),
         pytest.param(change_patch_count, GeometryError, "patch count changed mid-sequence",
