@@ -167,13 +167,17 @@ def cmd_pretrain_toy(args) -> int:
     num_segments = args.segments or max(
         1, scene.duration_us // seg_config.segment_duration_us
     )
-    config = ToyModelConfig(
-        patch_size=args.patch,
-        embed_dim=args.embed,
-        in_channels=2 * seg_config.bins_per_segment + 1,
-        recurrent=not args.feedforward,
-        seed=args.seed,
-    )
+    try:
+        config = ToyModelConfig(
+            patch_size=args.patch,
+            embed_dim=args.embed,
+            in_channels=2 * seg_config.bins_per_segment + 1,
+            recurrent=not args.feedforward,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        args.usage_error(f"--patch {args.patch} --embed {args.embed} "
+                         f"--bins {seg_config.bins_per_segment}: {exc}")
     curve, state = train_toy(
         simulate_events(scene, noise),
         scene.geometry,

@@ -136,16 +136,17 @@ def read_text_events(path) -> np.ndarray:
 def write_intf(path, frames: Iterable[np.ndarray], geometry: SensorGeometry) -> int:
     """Stream ``frames`` to an INTF file and return how many it wrote.
 
-    The header's count is written as 0 and set once the frames run out, so
-    ``path`` must be seekable. A run that dies after its first frame leaves
-    a count that disagrees with the payload, which :func:`read_intf` rejects.
+    The header's count is written as 2**32 - 1 and set once the frames run
+    out, so ``path`` must be seekable. A run that dies before that, even
+    before its first frame, leaves a count that disagrees with a payload of
+    fewer frames, which :func:`read_intf` rejects.
     """
     shape = (geometry.height, geometry.width)
     count = 0
     with open(path, "wb") as fh:
         if not fh.seekable():
             raise OSError(f"{path}: INTF output must be a seekable file")
-        fh.write(INTF.pack(geometry.width, geometry.height, 0))
+        fh.write(INTF.pack(geometry.width, geometry.height, 2**32 - 1))
         for count, frame in enumerate(frames, start=1):
             frame = np.ascontiguousarray(frame, dtype="<f4")
             if frame.shape != shape:

@@ -46,6 +46,25 @@ class PatchGrid:
         """Patches a tube mask of this ratio covers: round(ratio * K), halves up."""
         return int(np.floor(ratio * self.num_patches + 0.5))
 
+    def blocks(self, tensor: np.ndarray) -> np.ndarray:
+        """A view of a (C, h*P, w*P) tensor of whole patches as (h, w, C, P, P) blocks."""
+        (C, H, W), P = tensor.shape, self.patch_size
+        return tensor.reshape(C, H // P, P, W // P, P).transpose(1, 3, 0, 2, 4)
+
+    def patches(self, tensor: np.ndarray) -> np.ndarray:
+        """A new (K, C*P*P) matrix of a (C, H, W) tensor's patches, zero-padded."""
+        P, C = self.patch_size, tensor.shape[0]
+        padded = np.zeros((C, self.grid_h * P, self.grid_w * P), dtype=tensor.dtype)
+        padded[:, : self.height, : self.width] = tensor
+        return self.blocks(padded).reshape(self.num_patches, C * P * P)
+
+    def frame(self, patches: np.ndarray) -> np.ndarray:
+        """The (H, W) frame of (K, P*P) single-channel patches, with the padding cropped."""
+        P = self.patch_size
+        padded = np.empty((1, self.grid_h * P, self.grid_w * P), dtype=patches.dtype)
+        self.blocks(padded)[...] = patches.reshape(self.grid_h, self.grid_w, 1, P, P)
+        return padded[0, : self.height, : self.width]
+
     def patch_slices(self, row: int, col: int) -> tuple[slice, slice]:
         """Pixel slices of one patch, clipped to the real (unpadded) frame."""
         P = self.patch_size
@@ -130,12 +149,12 @@ def normalize_patches(target: np.ndarray, grid: PatchGrid) -> np.ndarray:
     vectorized = target.strides[0] >= target.strides[1] > 0 and P * P <= np.getbufsize()
     rows, cols = (grid.height // P, grid.width // P) if vectorized else (0, 0)
     out = np.empty_like(target, dtype=np.float64)
-    full = target[: rows * P, : cols * P].reshape(rows, P, cols, P).swapaxes(1, 2)
-    full = full.reshape(rows, cols, P * P)
+    full = grid.blocks(target[None, : rows * P, : cols * P]).reshape(rows, cols, P * P)
     mean = full.mean(axis=-1, keepdims=True)
     std = np.sqrt(full.var(axis=-1, keepdims=True) + EPSILON)
-    blocks = out[: rows * P, : cols * P].reshape(rows, P, cols, P).swapaxes(1, 2)
-    np.divide((full - mean).reshape(blocks.shape), std[..., None], out=blocks)
+    blocks = grid.blocks(out[None, : rows * P, : cols * P])
+    # not full -= mean: full is a view of target when W == P, and may hold integers
+    np.divide((full - mean).reshape(blocks.shape), std[..., None, None], out=blocks)
     for row in range(grid.grid_h):
         for col in range(cols if row < rows else 0, grid.grid_w):
             sl = grid.patch_slices(row, col)

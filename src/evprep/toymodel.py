@@ -45,6 +45,8 @@ class ToyModelConfig:
         for name in ("patch_size", "embed_dim", "in_channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+            if getattr(self, name) >= 2**16:
+                raise ValueError(f"{name} must be < 65536 to fit the TOYP header's u16")
 
     @property
     def n_in(self) -> int:
@@ -86,47 +88,29 @@ def init_model(config: ToyModelConfig) -> ToyModelState:
     return ToyModelState(config=config, params=params)
 
 
-def _patchify(tensor: np.ndarray, P: int) -> np.ndarray:
-    """(C, H, W) -> (K, C*P*P) with zero padding to P-divisible dims."""
-    C, H, W = tensor.shape
-    gh, gw = -(-H // P), -(-W // P)
-    padded = np.zeros((C, gh * P, gw * P), dtype=np.float64)
-    padded[:, :H, :W] = tensor
-    # (C, gh, P, gw, P) -> (gh, gw, C, P, P) -> (K, C*P*P)
-    patches = padded.reshape(C, gh, P, gw, P).transpose(1, 3, 0, 2, 4)
-    return patches.reshape(gh * gw, C * P * P)
-
-
-def _unpatchify(patches: np.ndarray, H: int, W: int, P: int) -> np.ndarray:
-    """(K, P*P) single-channel patches -> (H, W) frame, crop padding."""
-    gh, gw = -(-H // P), -(-W // P)
-    frame = patches.reshape(gh, gw, P, P).transpose(0, 2, 1, 3).reshape(gh * P, gw * P)
-    return frame[:H, :W]
-
-
 def _run(state: ToyModelState, inputs: list[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
-    """Stage loop from zero memory; each stage's (X, c_prev, f, h, predicted patches)."""
+    """Stage loop from zero memory; each stage's (X, c_prev, f, h, predicted frame)."""
     cfg, p = state.config, state.params
     stages, c = [], None
     for x in inputs:
         if x.shape[0] != cfg.in_channels:
             raise GeometryError(f"expected {cfg.in_channels} channels, got {x.shape[0]}")
-        X = _patchify(np.asarray(x, dtype=np.float64), cfg.patch_size)
+        grid = PatchGrid(cfg.patch_size, *x.shape[1:])
+        X = grid.patches(np.asarray(x, dtype=np.float64))
         if c is None:
             c = np.zeros((X.shape[0], cfg.embed_dim), dtype=np.float64)
         elif c.shape[0] != X.shape[0]:
             raise GeometryError("patch count changed mid-sequence")
         f = X @ p["embed"]
         h = np.tanh(c @ p["rec_c"].T + f @ p["rec_f"].T + p["rec_bias"])
-        stages.append((X, c, f, h, h @ p["decode"]))
+        stages.append((X, c, f, h, grid.frame(h @ p["decode"])))
         c = h if cfg.recurrent else np.zeros_like(h)
     return stages
 
 
 def forward_sequence(state: ToyModelState, inputs: list[np.ndarray]) -> list[np.ndarray]:
     """Forward pass over a whole sequence, from zero memory."""
-    P = state.config.patch_size
-    return [_unpatchify(s[-1], *x.shape[1:], P) for s, x in zip(_run(state, inputs), inputs)]
+    return [s[-1] for s in _run(state, inputs)]
 
 
 def backward_sequence(
@@ -134,7 +118,6 @@ def backward_sequence(
     inputs: list[np.ndarray],
     targets: list[np.ndarray],
     mask: TubeMask,
-    grid: PatchGrid,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Exact backpropagation through time of the masked sequence loss.
 
@@ -142,6 +125,7 @@ def backward_sequence(
     loss is the mean over stages of each stage's masked MSE, equal to
     :func:`evprep.losses.masked_mse`. One difference ``d`` per stage gives
     both that loss, mean(d*d), and its gradient, 2d / (M * masked pixels).
+    The patch grid is the model's patch size over the first input's frame.
     """
     if len(inputs) != len(targets):
         raise ValueError("inputs/targets length mismatch")
@@ -149,14 +133,14 @@ def backward_sequence(
         raise ValueError("need at least one stage")
     M = len(inputs)
     cfg, p = state.config, state.params
-    P = cfg.patch_size
+    grid = PatchGrid(cfg.patch_size, *inputs[0].shape[1:])
     pix = mask.pixel_mask(grid)
     n_masked_pix = int(pix.sum())
     if n_masked_pix == 0:
         raise ValueError("mask is empty")
 
     stages = _run(state, inputs)
-    preds = [_unpatchify(s[-1], grid.height, grid.width, P) for s in stages]
+    preds = [s[-1] for s in stages]
     if any(pred.shape != t.shape for pred, t in zip(preds, targets)):
         raise GeometryError("prediction/target shape mismatch")
     diffs = [pred[pix] - t[pix] for pred, t in zip(preds, targets)]
@@ -167,7 +151,7 @@ def backward_sequence(
     for (X, c_prev, f, h, _), d in reversed(list(zip(stages, diffs))):
         dframe = np.zeros((grid.height, grid.width), dtype=np.float64)
         dframe[pix] = 2.0 * d / (M * n_masked_pix)
-        dpred = _patchify(dframe[None], P)
+        dpred = grid.patches(dframe[None])
         dh = dpred @ p["decode"].T
         if dc_next is not None:
             dh = dh + dc_next
@@ -253,7 +237,7 @@ def train_toy(
         masked_inputs = [apply_mask(x, mask, grid) for x in inputs]
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                loss, grads = backward_sequence(state, masked_inputs, targets, mask, grid)
+                loss, grads = backward_sequence(state, masked_inputs, targets, mask)
                 if not np.isfinite(loss):
                     raise FloatingPointError
                 for k in state.params:

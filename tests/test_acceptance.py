@@ -229,14 +229,14 @@ def test_criterion_6_gradient_oracle():
             inputs = [rng.normal(size=(5, 8, 8)) for _ in range(stages)]
             targets = [rng.normal(size=(8, 8)) for _ in range(stages)]
             state = init_model(cfg)
-            _, grads = backward_sequence(state, inputs, targets, mask, grid)
+            _, grads = backward_sequence(state, inputs, targets, mask)
             vec = flatten_params(state.params)
             gvec = flatten_params(grads)
 
             def loss_at(v):
                 probe = init_model(cfg)
                 probe.params = unflatten_params(v, state.params)
-                l, _ = backward_sequence(probe, inputs, targets, mask, grid)
+                l, _ = backward_sequence(probe, inputs, targets, mask)
                 return l
 
             h = 1e-5

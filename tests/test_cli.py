@@ -176,6 +176,9 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
         ("pretrain-toy", "--ratio", "0.01"),
         ("pretrain-toy", "--steps", "0"),
         ("pretrain-toy", "--embed", "0"),
+        # the TOYP header stores patch, embed and channels (2 * bins + 1) as u16
+        ("pretrain-toy", "--embed", "65536"),
+        ("pretrain-toy", "--patch", "65536"),
         ("pretrain-toy", "--lr", "nan"),
         ("pretrain-toy", "--seed", "-1"),
         ("bench", "--segment-ms", "0"),
@@ -383,10 +386,27 @@ def test_frame_beyond_float32_exit_2(tmp_path, capsys, method):
     assert capsys.readouterr().err == (
         "evprep: error: segment 2: a frame value is beyond float32's range\n"
     )
-    # the frame of segment 1 was written, but the header still counts none
+    # the frame of segment 1 was written, but the header still holds its placeholder count
     with pytest.raises(FormatError):
         read_intf(out)
     assert not state.exists()
+
+
+@pytest.mark.parametrize("method", ["decay", "adaptive"])
+def test_frame_beyond_float32_in_first_segment_leaves_unreadable_intf(tmp_path, capsys, method):
+    # both events fall in segment 1, so no frame is written
+    text = tmp_path / "two.txt"
+    text.write_text("0 1 1 1\n1 1 1 1\n")
+    out = tmp_path / "y.intf"
+    argv = ["intensity", str(text), "--geometry", "4x4", "--method", method, "-o", str(out),
+            "--threshold", "3e38"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "evprep: error: segment 1: a frame value is beyond float32's range\n"
+    )
+    assert out.stat().st_size == 12
+    with pytest.raises(FormatError, match="payload holds 0 bytes"):
+        read_intf(out)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import os
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -280,10 +281,26 @@ def test_intf_rejects_wrong_frame_shape(tmp_path):
     path = tmp_path / "frames.intf"
     with pytest.raises(GeometryError, match=r"frame 1 is \(24, 31\), expected \(24, 32\)"):
         write_intf(path, [good, good[:, :-1], good], GEO)
-    # the first frame was written under a count of 0
+    # the first frame was written under the placeholder count
     assert path.stat().st_size == 12 + good.nbytes
     with pytest.raises(FormatError, match="payload"):
         read_intf(path)
+
+
+def test_intf_death_before_first_frame_is_unreadable(tmp_path):
+    path = tmp_path / "frames.intf"
+    with pytest.raises(GeometryError, match="frame 0"):
+        write_intf(path, [np.zeros((GEO.height, 1), np.float32)], GEO)
+    assert path.read_bytes() == b"INTF" + struct.pack("<HHI", GEO.width, GEO.height, 2**32 - 1)
+    with pytest.raises(FormatError, match="payload holds 0 bytes"):
+        read_intf(path)
+
+
+def test_intf_complete_empty_write_counts_zero(tmp_path):
+    path = tmp_path / "frames.intf"
+    assert write_intf(path, [], GEO) == 0
+    assert path.read_bytes() == b"INTF" + struct.pack("<HHI", GEO.width, GEO.height, 0)
+    assert read_intf(path) == ([], GEO)
 
 
 def test_intf_payload_size_check(tmp_path, rng):

@@ -143,6 +143,55 @@ def test_padding_grid_geometry():
     assert np.abs(out).max() < 1e-2
 
 
+@given(st.integers(1, 6), st.integers(1, 13), st.integers(1, 13), st.integers(1, 3))
+@example(4, 7, 9, 1)  # ragged on both sides
+@example(5, 3, 2, 1)  # P > H and P > W: one padded patch
+@example(8, 16, 3, 2)  # P > W only
+@settings(max_examples=60, deadline=None)
+def test_patch_matrix_layout_and_frame_round_trip(P, H, W, C):
+    grid = PatchGrid(P, H, W)
+    x = np.arange(1, C * H * W + 1, dtype=np.float64).reshape(C, H, W)
+    patches = grid.patches(x)
+    assert patches.shape == (grid.num_patches, C * P * P)
+    assert not np.shares_memory(patches, x)
+    for k in range(grid.num_patches):
+        rows, cols = grid.patch_slices(*divmod(k, grid.grid_w))
+        patch = patches[k].reshape(C, P, P)
+        h, w = rows.stop - rows.start, cols.stop - cols.start
+        assert np.array_equal(patch[:, :h, :w], x[:, rows, cols])
+        assert patch.sum() == x[:, rows, cols].sum()  # the padding is zero
+    frame = grid.frame(patches[:, : P * P])
+    assert frame.shape == (H, W) and not np.shares_memory(frame, patches)
+    assert np.array_equal(frame, x[0])
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 0), (1, 0, 6), (3, 6, 9)])
+def test_blocks_is_a_view_of_whole_patches(shape):
+    grid = PatchGrid(3, 6, 9)
+    tensor = np.arange(int(np.prod(shape))).reshape(shape)
+    blocks = grid.blocks(tensor)
+    assert blocks.shape == (shape[1] // 3, shape[2] // 3, shape[0], 3, 3)
+    assert blocks.size == 0 or np.shares_memory(blocks, tensor)
+    for row, col in np.ndindex(blocks.shape[:2]):
+        rows, cols = grid.patch_slices(row, col)
+        assert np.array_equal(blocks[row, col], tensor[:, rows, cols])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("P, H, W", [(4, 8, 4), (4, 4, 8), (4, 4, 4)], ids=["W=P", "H=P", "H=W=P"])
+def test_normalize_leaves_its_input_alone(rng, dtype, P, H, W):
+    target = (100 * rng.random((H, W))).astype(dtype)
+    before = target.copy()
+    out = normalize_patches(target, PatchGrid(P, H, W))
+    rtol = 1e-5 if dtype == np.float32 else 1e-9  # float32 stats are taken in float32
+    assert np.array_equal(target, before) and not np.shares_memory(out, target)
+    for top in range(0, H, P):
+        for left in range(0, W, P):
+            patch = before[top : top + P, left : left + P].astype(np.float64)
+            expected = (patch - patch.mean()) / np.sqrt(patch.var() + 1e-6)
+            np.testing.assert_allclose(out[top : top + P, left : left + P], expected, rtol=rtol)
+
+
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 @example(2**32 - 1, 0.5)  # the largest seed the header's u32 holds
 @settings(max_examples=50, deadline=None)

@@ -106,7 +106,7 @@ def test_backward_loss_matches_forward_recomputation(rng):
     targets = [rng.normal(size=(8, 8)) for _ in range(3)]
     state = init_model(cfg)
     normalized = [normalize_patches(t, grid) for t in targets]
-    loss, _ = backward_sequence(state, inputs, normalized, mask, grid)
+    loss, _ = backward_sequence(state, inputs, normalized, mask)
     preds = forward_sequence(state, inputs)
     assert loss == sequence_loss(preds, targets, mask, grid).loss
 
@@ -120,7 +120,7 @@ def test_zero_learning_signal():
     # zero bias + zero input makes prediction and normalized target both zero
     state.params["rec_bias"][:] = 0.0
     target = forward_sequence(state, inputs)[0]
-    loss, grads = backward_sequence(state, inputs, [target], mask, grid)
+    loss, grads = backward_sequence(state, inputs, [target], mask)
     assert loss == pytest.approx(0.0, abs=1e-24)
     assert all(np.abs(g).max() < 1e-12 for g in grads.values())
 
@@ -130,10 +130,9 @@ def change_patch_count():
     forward_sequence(state, [np.zeros((5, 8, 8)), np.zeros((5, 8, 12))])
 
 
-def backward(inputs, targets, ratio=1.0):
-    grid = PatchGrid(4, 8, 8)
+def backward(inputs, targets, ratio=1.0, grid=PatchGrid(4, 8, 8)):
     mask = sample_tube_mask(grid, ratio, seed=0)
-    backward_sequence(init_model(small_config()), inputs, targets, mask, grid)
+    backward_sequence(init_model(small_config()), inputs, targets, mask)
 
 
 ZERO_STAGE = np.zeros((5, 8, 8))
@@ -154,6 +153,15 @@ ZERO_STAGE = np.zeros((5, 8, 8))
                      id="blob-patch-size"),
         pytest.param(lambda: ToyModelConfig(4, 1, 0), ValueError, "in_channels must be >= 1",
                      id="in-channels"),
+        pytest.param(lambda: ToyModelConfig(2**16, 1, 1), ValueError,
+                     "patch_size must be < 65536 to fit the TOYP header's u16",
+                     id="patch-size-beyond-u16"),
+        pytest.param(lambda: ToyModelConfig(1, 2**16, 1), ValueError,
+                     "embed_dim must be < 65536 to fit the TOYP header's u16",
+                     id="embed-dim-beyond-u16"),
+        pytest.param(lambda: ToyModelConfig(1, 1, 2**16), ValueError,
+                     "in_channels must be < 65536 to fit the TOYP header's u16",
+                     id="in-channels-beyond-u16"),
         # channels 0 at patch 1 and embed 1 holds 4 weights: rec_c, rec_f, rec_bias, decode
         pytest.param(lambda: deserialize_params(b"TOYP" + struct.pack("<HHHB", 1, 1, 0, 1)
                                                 + bytes(32)),
@@ -172,6 +180,10 @@ ZERO_STAGE = np.zeros((5, 8, 8))
                      "mask is empty", id="empty-mask"),
         pytest.param(lambda: backward([ZERO_STAGE], [np.zeros((8, 7))]), GeometryError,
                      "prediction/target shape mismatch", id="target-shape"),
+        # the mask's grid is not the model's patch size over the inputs
+        pytest.param(lambda: backward([ZERO_STAGE], [ZERO_STAGE[0]], grid=PatchGrid(2, 8, 8)),
+                     GeometryError, "mask of 4x4 patches does not match the 2x2 patch grid",
+                     id="mask-grid"),
         pytest.param(
             lambda: train_toy(make_events([], [], [], []), SensorGeometry(32, 16), 0, 0.1,
                               small_config(), SegmentConfig(20_000, 4),
@@ -186,6 +198,10 @@ def test_bad_arguments_rejected(call, error, message):
     assert str(exc.value) == message
 
 
+def test_config_accepts_u16_max():
+    assert ToyModelConfig(2**16 - 1, 2**16 - 1, 2**16 - 1).n_out == (2**16 - 1) ** 2
+
+
 @pytest.mark.parametrize("stages", [1, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradients_match_finite_differences(seed, stages):
@@ -196,7 +212,7 @@ def test_gradients_match_finite_differences(seed, stages):
     inputs = random_inputs(rng, cfg, grid, stages)
     targets = [rng.normal(size=(8, 8)) for _ in range(stages)]
     state = init_model(cfg)
-    _, grads = backward_sequence(state, inputs, targets, mask, grid)
+    _, grads = backward_sequence(state, inputs, targets, mask)
 
     vec = flatten_params(state.params)
     gvec = flatten_params(grads)
@@ -204,7 +220,7 @@ def test_gradients_match_finite_differences(seed, stages):
     def loss_at(v):
         probe = init_model(cfg)
         probe.params = unflatten_params(v, state.params)
-        l, _ = backward_sequence(probe, inputs, targets, mask, grid)
+        l, _ = backward_sequence(probe, inputs, targets, mask)
         return l
 
     h = 1e-5
