@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -79,6 +80,29 @@ def _geometry(text: str) -> SensorGeometry:
         return SensorGeometry(width, height)
     except (ValueError, GeometryError) as exc:
         raise argparse.ArgumentTypeError(f"not WxH: {text!r} ({exc})") from exc
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one file: links count when both exist."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _clashing_output(args) -> str | None:
+    """The usage error of an output that names a file the command reads, or
+    another of its outputs; ``--save-state`` may update ``--resume`` in place."""
+    named = []
+    for flag in args.reads + args.writes:
+        path = getattr(args, "output" if flag == "-o" else flag.lstrip("-").replace("-", "_"))
+        if not path:
+            continue
+        for earlier, other in named if flag in args.writes else ():
+            if (flag, earlier) != ("--save-state", "--resume") and _same_file(path, other):
+                return f"{flag} {path!r} names the same file as {earlier} {other!r}"
+        named.append((flag, path))
+    return None
 
 
 def _add_segment_flags(p):
@@ -235,7 +259,7 @@ def build_parser() -> _Parser:
     p.add_argument("scene")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--no-noise", action="store_true", help="drop the scene's noise section")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, reads=("scene",), writes=("-o",))
 
     p = sub.add_parser("intensity", help="estimate the pseudo-grayscale video")
     p.add_argument("input", help="EVT1 file (or text events with --geometry)")
@@ -248,14 +272,14 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", help="state file from a previous --save-state run")
     p.add_argument("--save-state", help="write resumable state here")
     p.add_argument("--pgm-dir", help="also write 8-bit PGM previews")
-    p.set_defaults(func=cmd_intensity)
+    p.set_defaults(func=cmd_intensity, reads=("input", "--resume"), writes=("-o", "--save-state"))
 
     p = sub.add_parser("report", help="trail-energy table for an INTF frame stack")
     p.add_argument("frames", help="INTF file")
     p.add_argument("scene", help="scene file that produced the events")
     p.add_argument("--after-us", type=_non_negative_int, help="passage time (default: half duration)")
     p.add_argument("--report", help="also write a JSON report here")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, reads=("frames", "scene"), writes=("--report",))
 
     p = sub.add_parser("pretrain-toy", help="train the toy masked autoencoder")
     p.add_argument("scene")
@@ -271,12 +295,13 @@ def build_parser() -> _Parser:
     _add_estimator_flags(p)
     p.add_argument("--segments", type=_positive_int)
     p.add_argument("--params", help="write trained parameter blob here")
-    p.set_defaults(func=cmd_pretrain_toy, method=Method.ADAPTIVE_BATCH.value, usage_error=p.error)
+    p.set_defaults(func=cmd_pretrain_toy, method=Method.ADAPTIVE_BATCH.value, usage_error=p.error,
+                   reads=("scene",), writes=("-o", "--params"))
 
     p = sub.add_parser("bench", help="kernel throughput report")
     p.add_argument("input", help="EVT1 file")
     _add_segment_flags(p)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, reads=("input",), writes=())
 
     return parser
 
@@ -296,6 +321,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             parser.error(f"--alpha {args.alpha:g} --threshold {args.threshold:g} "
                          f"--normalizer {args.normalizer}: {exc}")
+    clash = _clashing_output(args)
+    if clash:
+        parser.error(clash)
     try:
         return args.func(args)
     except (EvprepError, OSError, ValueError) as exc:

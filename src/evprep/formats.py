@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from evprep.errors import FormatError, GeometryError
-from evprep.events import EVENT_DTYPE, SensorGeometry
+from evprep.events import EVENT_DTYPE, MAX_SEGMENTS, SensorGeometry
 from evprep.intensity import IntensityConfig, IntensityState, Method
 
 
@@ -136,7 +136,7 @@ def read_text_events(path) -> np.ndarray:
 def write_intf(path, frames: Iterable[np.ndarray], geometry: SensorGeometry) -> int:
     """Stream ``frames`` to an INTF file and return how many it wrote.
 
-    The header's count is written as 2**32 - 1 and set once the frames run
+    The header's count is written as ``MAX_SEGMENTS`` and set once the frames run
     out, so ``path`` must be seekable. A run that dies before that, even
     before its first frame, leaves a count that disagrees with a payload of
     fewer frames, which :func:`read_intf` rejects.
@@ -146,7 +146,7 @@ def write_intf(path, frames: Iterable[np.ndarray], geometry: SensorGeometry) -> 
     with open(path, "wb") as fh:
         if not fh.seekable():
             raise OSError(f"{path}: INTF output must be a seekable file")
-        fh.write(INTF.pack(geometry.width, geometry.height, 2**32 - 1))
+        fh.write(INTF.pack(geometry.width, geometry.height, MAX_SEGMENTS))
         for count, frame in enumerate(frames, start=1):
             frame = np.ascontiguousarray(frame, dtype="<f4")
             if frame.shape != shape:
@@ -161,6 +161,7 @@ def read_intf(path) -> tuple[list[np.ndarray], SensorGeometry]:
     """The frames of an INTF file, all finite, as views of one (count, H, W) array."""
     with open(path, "rb") as fh:
         width, height, count = INTF.unpack(fh.read(INTF.size), path)
+        geometry = SensorGeometry(width, height)  # before a zero dimension hides the count
         payload = os.fstat(fh.fileno()).st_size - INTF.size
         values = count * height * width
         if payload != 4 * values:
@@ -169,7 +170,7 @@ def read_intf(path) -> tuple[list[np.ndarray], SensorGeometry]:
     bad = np.flatnonzero(~np.isfinite(frames).all(axis=(1, 2)))
     if bad.size:
         raise FormatError(f"{path}: frame {bad[0]} holds non-finite values")
-    return list(frames), SensorGeometry(width, height)
+    return list(frames), geometry
 
 
 def write_pgm(path, frame: np.ndarray) -> None:

@@ -88,29 +88,31 @@ def init_model(config: ToyModelConfig) -> ToyModelState:
     return ToyModelState(config=config, params=params)
 
 
-def _run(state: ToyModelState, inputs: list[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
-    """Stage loop from zero memory; each stage's (X, c_prev, f, h, predicted frame)."""
+def _run(state: ToyModelState, inputs: list[np.ndarray]) -> tuple[PatchGrid, list[tuple]]:
+    """The patch grid of the first stage's frame, which every stage must
+    share, and each stage's (X, c_prev, f, h, predicted frame) from zero memory."""
+    if not inputs:
+        raise ValueError("need at least one stage")
     cfg, p = state.config, state.params
-    stages, c = [], None
-    for x in inputs:
+    grid = PatchGrid(cfg.patch_size, *inputs[0].shape[1:])
+    frame = (grid.height, grid.width)
+    stages, c = [], np.zeros((grid.num_patches, cfg.embed_dim), dtype=np.float64)
+    for i, x in enumerate(inputs):
         if x.shape[0] != cfg.in_channels:
             raise GeometryError(f"expected {cfg.in_channels} channels, got {x.shape[0]}")
-        grid = PatchGrid(cfg.patch_size, *x.shape[1:])
+        if x.shape[1:] != frame:
+            raise GeometryError(f"stage {i} frame is {x.shape[1:]}, stage 0 frame is {frame}")
         X = grid.patches(np.asarray(x, dtype=np.float64))
-        if c is None:
-            c = np.zeros((X.shape[0], cfg.embed_dim), dtype=np.float64)
-        elif c.shape[0] != X.shape[0]:
-            raise GeometryError("patch count changed mid-sequence")
         f = X @ p["embed"]
         h = np.tanh(c @ p["rec_c"].T + f @ p["rec_f"].T + p["rec_bias"])
         stages.append((X, c, f, h, grid.frame(h @ p["decode"])))
         c = h if cfg.recurrent else np.zeros_like(h)
-    return stages
+    return grid, stages
 
 
 def forward_sequence(state: ToyModelState, inputs: list[np.ndarray]) -> list[np.ndarray]:
     """Forward pass over a whole sequence, from zero memory."""
-    return [s[-1] for s in _run(state, inputs)]
+    return [s[-1] for s in _run(state, inputs)[1]]
 
 
 def backward_sequence(
@@ -125,21 +127,17 @@ def backward_sequence(
     loss is the mean over stages of each stage's masked MSE, equal to
     :func:`evprep.losses.masked_mse`. One difference ``d`` per stage gives
     both that loss, mean(d*d), and its gradient, 2d / (M * masked pixels).
-    The patch grid is the model's patch size over the first input's frame.
+    The mask must lie on the forward pass's patch grid.
     """
     if len(inputs) != len(targets):
         raise ValueError("inputs/targets length mismatch")
-    if not inputs:
-        raise ValueError("need at least one stage")
     M = len(inputs)
     cfg, p = state.config, state.params
-    grid = PatchGrid(cfg.patch_size, *inputs[0].shape[1:])
+    grid, stages = _run(state, inputs)
     pix = mask.pixel_mask(grid)
     n_masked_pix = int(pix.sum())
     if n_masked_pix == 0:
         raise ValueError("mask is empty")
-
-    stages = _run(state, inputs)
     preds = [s[-1] for s in stages]
     if any(pred.shape != t.shape for pred, t in zip(preds, targets)):
         raise GeometryError("prediction/target shape mismatch")

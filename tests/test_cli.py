@@ -504,6 +504,61 @@ def test_output_written_at_exact_path(evt1, tmp_path, command, flag):
     assert [path.name for path in out_dir.iterdir()] == ["result"]
 
 
+@pytest.fixture
+def named_files(tmp_path, monkeypatch):
+    """A scene, its events, frames and state, and a hard link to the events,
+    in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    Path("s.scene").write_bytes((SCENES / "disc.scene").read_bytes())
+    assert main(["simulate", "s.scene", "-o", "d.evt1"]) == 0
+    assert main(["intensity", "d.evt1", "-o", "r.intf", "--segments", "2",
+                 "--save-state", "st.npz"]) == 0
+    os.link("d.evt1", "link.evt1")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["intensity", "d.evt1", "-o", "d.evt1"],
+                     "-o 'd.evt1' names the same file as input 'd.evt1'", id="intensity-input"),
+        pytest.param(["report", "r.intf", "s.scene", "--report", "r.intf"],
+                     "--report 'r.intf' names the same file as frames 'r.intf'", id="report-frames"),
+        pytest.param(["simulate", "s.scene", "-o", "s.scene"],
+                     "-o 's.scene' names the same file as scene 's.scene'", id="simulate-scene"),
+        pytest.param(["intensity", "d.evt1", "-o", "st.npz", "--save-state", "st.npz"],
+                     "--save-state 'st.npz' names the same file as -o 'st.npz'",
+                     id="intensity-two-outputs"),
+        pytest.param(["intensity", "d.evt1", "-o", "link.evt1"],
+                     "-o 'link.evt1' names the same file as input 'd.evt1'", id="hard-link"),
+        pytest.param(["intensity", "d.evt1", "-o", "./st.npz", "--resume", "st.npz"],
+                     "-o './st.npz' names the same file as --resume 'st.npz'", id="intensity-resume"),
+        pytest.param(["report", "r.intf", "s.scene", "--report", "s.scene"],
+                     "--report 's.scene' names the same file as scene 's.scene'", id="report-scene"),
+        pytest.param(["pretrain-toy", "s.scene", "-o", "new.txt", "--params", "new.txt"],
+                     "--params 'new.txt' names the same file as -o 'new.txt'",
+                     id="pretrain-toy-two-outputs"),
+    ],
+)
+def test_output_naming_another_file_exit_1(named_files, capsys, argv, message):
+    before = {path.name: path.read_bytes() for path in named_files.iterdir()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"evprep: error: {message}" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in named_files.iterdir()} == before
+
+
+def test_save_state_updates_resume_in_place(named_files):
+    assert main(["intensity", "d.evt1", "-o", "a.intf", "--segments", "1",
+                 "--resume", "st.npz", "--save-state", "next.npz"]) == 0
+    assert main(["intensity", "d.evt1", "-o", "b.intf", "--segments", "1",
+                 "--resume", "st.npz", "--save-state", "st.npz"]) == 0
+    assert Path("st.npz").read_bytes() == Path("next.npz").read_bytes()
+    assert Path("a.intf").read_bytes() == Path("b.intf").read_bytes()
+
+
 @pytest.mark.parametrize("method", ["decay", "adaptive"])
 def test_resume_from_state_path_without_suffix(evt1, tmp_path, method):
     def run(name, *flags):

@@ -136,6 +136,7 @@ def backward(inputs, targets, ratio=1.0, grid=PatchGrid(4, 8, 8)):
 
 
 ZERO_STAGE = np.zeros((5, 8, 8))
+SHRINKING_FRAME = [ZERO_STAGE, np.ones((5, 7, 6))]
 
 
 @pytest.mark.parametrize(
@@ -170,8 +171,17 @@ ZERO_STAGE = np.zeros((5, 8, 8))
                      id="blob-in-channels"),
         pytest.param(lambda: forward_sequence(init_model(small_config()), [np.zeros((4, 8, 8))]),
                      GeometryError, "expected 5 channels, got 4", id="channels"),
-        pytest.param(change_patch_count, GeometryError, "patch count changed mid-sequence",
-                     id="patch-count"),
+        pytest.param(change_patch_count, GeometryError,
+                     "stage 1 frame is (8, 12), stage 0 frame is (8, 8)", id="patch-count"),
+        # the same 2x2 patch grid over two frame sizes
+        pytest.param(lambda: forward_sequence(init_model(small_config()), SHRINKING_FRAME),
+                     GeometryError, "stage 1 frame is (7, 6), stage 0 frame is (8, 8)",
+                     id="frame-size-forward"),
+        pytest.param(lambda: backward(SHRINKING_FRAME, [np.zeros((8, 8)), np.zeros((7, 6))]),
+                     GeometryError, "stage 1 frame is (7, 6), stage 0 frame is (8, 8)",
+                     id="frame-size-backward"),
+        pytest.param(lambda: forward_sequence(init_model(small_config()), []), ValueError,
+                     "need at least one stage", id="no-stage-forward"),
         pytest.param(lambda: backward([ZERO_STAGE], []), ValueError,
                      "inputs/targets length mismatch", id="lengths"),
         pytest.param(lambda: backward([], []), ValueError, "need at least one stage",
