@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from evprep.errors import EvprepError, FormatError, GeometryError
-from evprep.events import SegmentConfig, SensorGeometry, build_histogram, segment_stream
+from evprep.events import SegmentConfig, SensorGeometry, build_histogram, iter_segments
 from evprep.formats import (
     load_state,
     open_evt1,
@@ -142,7 +142,7 @@ def cmd_intensity(args) -> int:
         events, geometry = open_evt1(args.input)
     seg_config, int_config = args.seg_config, args.int_config
     resume = load_state(args.resume) if args.resume else None
-    state, frames = iter_sequence(
+    state, stages = iter_sequence(
         events,
         geometry,
         seg_config,
@@ -150,6 +150,7 @@ def cmd_intensity(args) -> int:
         resume=resume,
         num_segments=args.segments,
     )
+    frames = (frame for _, frame in stages)
     if args.pgm_dir:
         frames = _with_previews(frames, Path(args.pgm_dir))
     count = write_intf(args.output, frames, geometry)
@@ -238,7 +239,7 @@ def cmd_bench(args) -> int:
         return n / (time.perf_counter() - start)
 
     def histograms():
-        segments, _ = segment_stream(events, geometry, seg_config)
+        segments, _ = iter_segments(events, geometry, seg_config)
         return (build_histogram(s, geometry, seg_config) for s in segments)
 
     config = IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=seg_config.bin_duration_us)
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
         parser.error(clash)
     try:
         return args.func(args)
-    except (EvprepError, OSError, ValueError) as exc:
+    except (EvprepError, OSError, ValueError, MemoryError) as exc:
         print(f"evprep: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

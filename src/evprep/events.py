@@ -188,11 +188,17 @@ def iter_segments(
     num_segments: int | None = None,
     first_index: int = 1,
 ) -> tuple[Iterator[EventSegment], int]:
-    """:func:`segment_stream` that fetches one segment at a time.
+    """Check a stream and partition it into M half-open windows covering
+    [(first_index-1)*T, (first_index-1+M)*T), fetched one at a time.
 
-    ``source`` is checked in full, one block of records at a time, before
-    this returns a generator of the segments, slices ``source[lo:hi]`` (so
-    views of a record array), and the count of dropped events.
+    ``source`` is a record array or anything with ``len()`` and ``[lo:hi]``
+    slicing to one, such as :func:`evprep.formats.open_evt1`'s. Every
+    record is checked, one block at a time, before this returns a generator
+    of the segments, slices ``source[lo:hi]`` (so views of a record array),
+    and the count of dropped events: those outside the window. M is
+    ``num_segments``, by default running through the last event, with at
+    least one segment; it may not exceed ``MAX_SEGMENTS``, nor the window
+    end past ``MAX_CLOCK_US``.
     """
     if first_index < 1:
         raise ValueError("first_index must be >= 1")
@@ -236,14 +242,7 @@ def segment_stream(
     num_segments: int | None = None,
     first_index: int = 1,
 ) -> tuple[list[EventSegment], int]:
-    """Validate a stream and partition it into ``num_segments`` half-open
-    windows, numbered from ``first_index``.
-
-    Returns the M segments covering [(first_index-1)*T, (first_index-1+M)*T)
-    and the count of dropped events: those outside that window. M defaults
-    to running through the last event, with at least one segment; it may
-    not exceed ``MAX_SEGMENTS``, nor the window end past ``MAX_CLOCK_US``.
-    """
+    """:func:`iter_segments` with every segment in one list."""
     segments, dropped = iter_segments(events, geometry, config, num_segments, first_index)
     return list(segments), dropped
 
@@ -253,7 +252,8 @@ def bin_edges(segment: EventSegment, config: SegmentConfig) -> np.ndarray:
 
     Bin tau holds ``segment.events[edges[tau]:edges[tau+1]]``: the events
     in [start + tau*T/B, start + (tau+1)*T/B) with start = (index-1)*T.
-    Events must be sorted by time, as ``segment_stream`` returns them.
+    Events must be sorted by time, as the scan behind :func:`iter_segments`
+    checks them.
     Raises ValueError if any event lies outside the segment's window.
     """
     start = (segment.index - 1) * config.segment_duration_us

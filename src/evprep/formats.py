@@ -101,8 +101,9 @@ def read_evt1(path) -> tuple[np.ndarray, SensorGeometry]:
     """Read all records of an EVT1 file into one array.
 
     Only the framing is checked here, by :func:`open_evt1`; the records are
-    checked by :func:`evprep.events.segment_stream`. `evprep intensity`
-    reads a file through :func:`open_evt1` instead, one block at a time.
+    checked by the scan behind :func:`evprep.events.iter_segments`.
+    `evprep intensity` reads a file through :func:`open_evt1` instead, one
+    block at a time.
     """
     records, geometry = open_evt1(path)
     return records[:], geometry

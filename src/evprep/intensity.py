@@ -250,18 +250,19 @@ def iter_sequence(
     int_config: IntensityConfig,
     resume: IntensityState | None = None,
     num_segments: int | None = None,
-) -> tuple[IntensityState, Iterator[np.ndarray]]:
+) -> tuple[IntensityState, Iterator[tuple[EventSegment, np.ndarray]]]:
     """Drive the configured estimator over whole segments, one at a time.
 
     ``events`` is a record array or a source read in slices, such as
     :func:`evprep.formats.open_evt1`'s. The configs and every record are
     checked, and the segments located, before this returns. It returns the
     state and a generator that, per segment, fetches its events, advances
-    the state in place, sets its clock to the segment's end and yields a
-    float32 frame snapshot. A ``resume`` state needs the run's config (a
-    decay state only its alpha and threshold) and continues with the
-    segment starting at its clock, which must be a multiple of T, whichever
-    T saved it: a split run is bit-identical to a single combined run.
+    the state in place, sets its clock to the segment's end and yields the
+    segment with a float32 snapshot of the frame. A ``resume`` state needs
+    the run's config (a decay state only its alpha and threshold) and
+    continues with the segment starting at its clock, which must be a
+    multiple of T, whichever T saved it: a split run is bit-identical to a
+    single combined run.
     """
     if resume is not None:
         if resume.geometry != geometry:
@@ -289,7 +290,7 @@ def iter_sequence(
     first_index = state.last_update_time_us // T + 1
     segments, _ = iter_segments(events, geometry, seg_config, num_segments, first_index)
 
-    def frames():
+    def stages():
         for seg in segments:
             if int_config.method is Method.PER_EVENT_DECAY:
                 # iter_segments has validated the stream, and each segment
@@ -306,9 +307,9 @@ def iter_sequence(
                 raise FrameRangeError(
                     f"segment {seg.index}: a frame value is beyond float32's range"
                 ) from None
-            yield frame
+            yield seg, frame
 
-    return state, frames()
+    return state, stages()
 
 
 def run_sequence(
@@ -319,6 +320,6 @@ def run_sequence(
     resume: IntensityState | None = None,
     num_segments: int | None = None,
 ) -> tuple[IntensityState, list[np.ndarray]]:
-    """:func:`iter_sequence` with every frame snapshot in one list."""
-    state, frames = iter_sequence(events, geometry, seg_config, int_config, resume, num_segments)
-    return state, list(frames)
+    """:func:`iter_sequence`'s frame snapshots in one list."""
+    state, stages = iter_sequence(events, geometry, seg_config, int_config, resume, num_segments)
+    return state, [frame for _, frame in stages]

@@ -16,15 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from evprep.errors import FormatError, GeometryError, TrainingDivergedError
-from evprep.events import (
-    SegmentConfig,
-    SensorGeometry,
-    build_histogram,
-    flatten_histogram,
-    segment_stream,
-)
+from evprep.events import SegmentConfig, SensorGeometry, build_histogram, flatten_histogram
 from evprep.formats import TOYP
-from evprep.intensity import IntensityConfig, run_sequence
+from evprep.intensity import IntensityConfig, iter_sequence
 from evprep.masking import PatchGrid, TubeMask, apply_mask, normalize_patches, sample_tube_mask
 
 PARAM_ORDER = ("embed", "rec_c", "rec_f", "rec_bias", "decode")
@@ -214,20 +208,22 @@ def train_toy(
 ) -> tuple[list[float], ToyModelState]:
     """Plain gradient descent on the masked sequence loss over ``events``.
 
-    The inputs are each segment's histogram, saturated at ``CLIP_MAX``;
-    the targets are ``run_sequence``'s frames, patch-normalized once. A
-    fresh tube mask is drawn every step. Aborts, naming the step, at the
-    first overflow or invalid value in a step, before numpy warns of it.
+    Each input and its target come from one :func:`iter_sequence` pass:
+    a segment's histogram, saturated at ``CLIP_MAX``, and its frame,
+    patch-normalized once. A fresh tube mask is drawn every step. Aborts,
+    naming the step, at the first overflow or invalid value in a step,
+    before numpy warns of it.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    inputs = [
-        flatten_histogram(build_histogram(s, geometry, seg_config, clip_max=CLIP_MAX))
-        for s in segment_stream(events, geometry, seg_config, num_segments)[0]
-    ]
-    _, frames = run_sequence(events, geometry, seg_config, int_config, num_segments=num_segments)
+    _, stages = iter_sequence(events, geometry, seg_config, int_config, num_segments=num_segments)
     grid = PatchGrid(config.patch_size, geometry.height, geometry.width)
-    targets = [normalize_patches(f.astype(np.float64), grid) for f in frames]
+    pairs = [
+        (flatten_histogram(build_histogram(seg, geometry, seg_config, clip_max=CLIP_MAX)),
+         normalize_patches(frame.astype(np.float64), grid))
+        for seg, frame in stages
+    ]
+    inputs, targets = [x for x, _ in pairs], [t for _, t in pairs]
     state = init_model(config)
     curve = []
     for step in range(steps):

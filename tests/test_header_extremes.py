@@ -1,10 +1,12 @@
-"""EVT1 and INTF headers whose fields are 0, 1 or their maximum, with and
-without a payload, run through the CLI in a child process whose address
-space is capped at 1 GiB: a header that makes evprep size a huge array
-fails there with a MemoryError instead of taking the machine's memory.
+"""EVT1 and INTF headers whose fields are 0, 1 or their maximum, in every
+combination, with and without a payload, run through the CLI in a child
+process whose address space is capped at 1 GiB: a header that makes evprep
+size a huge array fails there with a MemoryError instead of taking the
+machine's memory, and the CLI exits 2 before it opens any output.
 
-EVT1 fields are set one at a time on a valid 32x16 header, since a valid
-65535x65535 EVT1 needs a 32 GiB frame; INTF fields in every combination.
+A valid 65535x65535 EVT1 needs a 32 GiB frame, as does a 65535x65535
+scene for `simulate` and `pretrain-toy`: those cases must exit 2 with
+numpy's allocation message and leave no output file.
 """
 
 import itertools
@@ -38,28 +40,52 @@ def run_capped(script: str, *args: str) -> dict:
     return json.loads(done.stdout)
 
 
-def header_files(tmp_path) -> dict[str, list[str]]:
-    """The argv of each distinct header, alone and with a payload, by name."""
-    cases = {}
+def header_files(tmp_path) -> tuple[dict[str, list[str]], dict[str, Path]]:
+    """The argv of each case, by name, and the output folder, by name, of
+    each case that needs a 32 GiB array. Case i reads the file case{i} and
+    writes into the folder out{i}, which starts empty."""
+
+    def intensity(*flags):
+        return lambda path, out: ["intensity", path, "-o", f"{out}/frames.intf", *flags]
+
+    def report(path, out):
+        return ["report", path, SCENE]
+
+    def simulate(path, out):
+        return ["simulate", path, "-o", f"{out}/events.evt1"]
+
+    def pretrain_toy(path, out):
+        return ["pretrain-toy", path, "-o", f"{out}/curve.txt", "--params", f"{out}/params",
+                "--steps", "1"]
+
+    cases, huge = {}, set()
     for payload in (b"", EVT1_RECORD):
-        base = (32, 16, 0, len(payload) // len(EVT1_RECORD))
-        for field, value in itertools.product(range(4), (0, 1, U32)):
-            fields = list(base)
-            fields[field] = min(value, U16) if field < 2 else value
-            cases[f"EVT1 {fields} + {len(payload)} bytes"] = (
-                b"EVT1" + struct.pack("<HHII", *fields) + payload, "intensity")
+        for fields in itertools.product((0, 1, U16), (0, 1, U16), (0, 1, U32), (0, 1, U32)):
+            name = f"EVT1 {list(fields)} + {len(payload)} bytes"
+            cases[name] = (b"EVT1" + struct.pack("<HHII", *fields) + payload, intensity())
+            if fields[:2] == (U16, U16) and fields[3] == len(payload) // len(EVT1_RECORD):
+                huge.add(name)
     for payload in (b"", INTF_VALUE):
         for fields in itertools.product((0, 1, U16), (0, 1, U16), (0, 1, U32)):
             cases[f"INTF {list(fields)} + {len(payload)} bytes"] = (
-                b"INTF" + struct.pack("<HHI", *fields) + payload, "report")
-    out = str(tmp_path / "out.intf")
-    argvs = {}
-    for i, (name, (data, command)) in enumerate(cases.items()):
-        path = tmp_path / f"case{i}"
+                b"INTF" + struct.pack("<HHI", *fields) + payload, report)
+    scene = Path(SCENE).read_text().replace("width = 32", f"width = {U16}")
+    scene = scene.replace("height = 16", f"height = {U16}").encode()
+    commands = {
+        f"EVT1 {[U16, U16, 0, 0]} + 0 bytes, --method decay": (
+            b"EVT1" + struct.pack("<HHII", U16, U16, 0, 0), intensity("--method", "decay")),
+        f"simulate a {U16}x{U16} scene": (scene, simulate),
+        f"pretrain-toy a {U16}x{U16} scene": (scene, pretrain_toy),
+    }
+    cases.update(commands)
+    huge.update(commands)
+    argvs, outs = {}, {}
+    for i, (name, (data, argv)) in enumerate(cases.items()):
+        path, outs[name] = tmp_path / f"case{i}", tmp_path / f"out{i}"
         path.write_bytes(data)
-        argvs[name] = (["intensity", str(path), "-o", out] if command == "intensity"
-                       else ["report", str(path), SCENE])
-    return argvs
+        outs[name].mkdir()
+        argvs[name] = argv(str(path), str(outs[name]))
+    return argvs, {name: outs[name] for name in huge}
 
 
 RUN_TABLE = """
@@ -67,25 +93,34 @@ import io, json, sys, warnings
 from contextlib import redirect_stderr, redirect_stdout
 from evprep.cli import main
 
-results = {}
+results, errors = {}, {}
 for name, argv in json.loads(sys.argv[1]).items():
+    stderr = io.StringIO()
     try:
         with warnings.catch_warnings(), redirect_stdout(io.StringIO()), \\
-                redirect_stderr(io.StringIO()):
+                redirect_stderr(stderr):
             warnings.simplefilter("error", RuntimeWarning)
             results[name] = main(argv)
     except Exception as exc:
         results[name] = f"{type(exc).__name__}: {exc}"
-print(json.dumps(results))
+    errors[name] = stderr.getvalue()
+print(json.dumps([results, errors]))
 """
 
 
 def test_header_extremes_exit_0_or_2(tmp_path):
-    cases = header_files(tmp_path)
-    results = run_capped(RUN_TABLE, json.dumps(cases))
-    # the base EVT1 header turns up under two fields, reserved 0 and its count
-    assert len(results) == len(cases) == 2 * 11 + 2 * 27
+    cases, huge = header_files(tmp_path)
+    results, errors = run_capped(RUN_TABLE, json.dumps(cases))
+    # 81 EVT1 and 27 INTF headers, with and without a payload, and 3 commands
+    assert len(results) == len(cases) == 2 * 81 + 2 * 27 + 3
     assert {name: code for name, code in results.items() if code not in (0, 2)} == {}
+    # six EVT1 headers, reserved 0, 1 or its maximum, with and without a record
+    assert len(huge) == 6 + 3
+    assert {
+        name: (results[name], errors[name].startswith("evprep: error: Unable to allocate 32.0 GiB"),
+               sorted(p.name for p in out.iterdir()))
+        for name, out in huge.items()
+    } == {name: (2, True, []) for name in huge}
 
 
 SIZE_ZERO_FRAMES = """

@@ -12,6 +12,7 @@ from evprep import (
     SegmentConfig,
     SensorGeometry,
     run_sequence,
+    segment_stream,
     simulate_events,
     update_adaptive_batch,
     update_per_event,
@@ -23,6 +24,7 @@ from evprep.events import (
     make_events,
     signed_bin_accumulation,
 )
+from evprep.intensity import iter_sequence
 from conftest import disc_scene
 
 GEO = SensorGeometry(16, 12)
@@ -180,6 +182,31 @@ def test_split_run_matches_single_run(scene, method):
     assert len(frames) == len(combined)
     for a, b in zip(frames, combined):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("method", [Method.PER_EVENT_DECAY, Method.ADAPTIVE_BATCH])
+def test_iter_sequence_pairs_each_segment_with_its_frame(method):
+    # T = 50 ms: segments 2, 4 and 5 are empty, and 400 ms is past segment 6
+    events = make_events(
+        [100, 900, 120_000, 130_000, 260_000, 270_000, 400_000],
+        [1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1, -1, 1, 1, -1, 1, 1],
+    )
+    cfg = decay_cfg() if method is Method.PER_EVENT_DECAY else adaptive_cfg()
+
+    def state_after(done):  # a new state at the end of segment ``done``
+        return run_sequence(events, GEO, SEG, cfg, num_segments=done)[0] if done else None
+
+    for done in (0, 2):  # a fresh run, and one resumed after segment 2
+        count, resume = 6 - done, state_after(done)
+        clock = resume.last_update_time_us if resume else 0
+        segments, _ = segment_stream(events, GEO, SEG, count, first_index=done + 1)
+        _, frames = run_sequence(events, GEO, SEG, cfg, state_after(done), count)
+        _, stages = iter_sequence(events, GEO, SEG, cfg, resume, count)
+        pairs = [(seg.index, seg.events.tobytes(), frame.tobytes()) for seg, frame in stages]
+        assert pairs == [
+            (seg.index, seg.events.tobytes(), frame.tobytes()) for seg, frame in zip(segments, frames)
+        ]
+        assert pairs[0][0] == clock // SEG.segment_duration_us + 1 == done + 1
 
 
 @pytest.mark.parametrize("method", [Method.PER_EVENT_DECAY, Method.ADAPTIVE_BATCH])

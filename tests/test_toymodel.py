@@ -12,6 +12,8 @@ from evprep import (
     make_events,
     normalize_patches,
     sample_tube_mask,
+    segment_stream,
+    simulate_events,
 )
 from evprep.errors import FormatError, GeometryError
 from evprep.toymodel import (
@@ -25,6 +27,7 @@ from evprep.toymodel import (
     train_toy,
     unflatten_params,
 )
+from conftest import freeze_scene
 
 
 def small_config(recurrent=True, seed=0):
@@ -273,3 +276,36 @@ def test_param_blob_header_is_checked_before_allocating():
     for dims in ((4, 0, 5), (65535, 65535, 65535)):
         with pytest.raises(FormatError, match="TOYP payload"):
             deserialize_params(b"TOYP" + struct.pack("<HHHB", *dims, 1))
+
+
+class CountingSource:
+    """A record array read through ``len()`` and ``[lo:hi]``, as an EVT1
+    file is, counting the records it hands out."""
+
+    def __init__(self, events):
+        self.events, self.read = events, 0
+
+    def __len__(self):
+        return len(self.events)
+
+    def __getitem__(self, key):
+        records = self.events[key]
+        self.read += records.shape[0]
+        return records
+
+
+def test_train_toy_reads_the_stream_in_one_pass():
+    spec = freeze_scene()
+    events = simulate_events(spec)
+    seg = SegmentConfig(20_000, 4)
+    # 3 of the scene's 4 segments, so the events of the last one lie past the window
+    segments, dropped = segment_stream(events, spec.geometry, seg, 3)
+    assert dropped > 0
+    config = ToyModelConfig(patch_size=8, embed_dim=4, in_channels=9, seed=0)
+    cfg = IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=5000)
+    source = CountingSource(events)
+    curves = [train_toy(stream, spec.geometry, 3, 0.5, config, seg, cfg, 3)[0]
+              for stream in (events, source)]
+    # one scan of every record, then one fetch of each segment's records
+    assert source.read <= len(events) + sum(s.num_events for s in segments)
+    assert curves[0] == curves[1]
