@@ -106,16 +106,16 @@ class StageHistogram:
 
 
 # Records per block of the stream scan: 3.4 MB of records, plus a 2 MB
-# column of segment numbers. On a 2-vCPU Xeon (numpy 2.4, glibc malloc),
-# fresh `evprep intensity` runs on two 1M-event 640x480 streams gave these
-# minor page faults and peak RSS (adaptive on 100 bursty segments; decay on
-# 40 segments with hot pixels), against 5.2k/5.5k and 50/51 MiB when the
-# whole stream was read at once:
-#   2**16: 9.3k / 5.8k, 38 / 39 MiB      2**18: 4.9k / 5.5k, 39 / 41 MiB
-#   2**17: 9.6k / 4.0k, 38 / 39 MiB      2**19: 5.1k / 5.2k, 43 / 46 MiB
+# contiguous copy of their timestamps. On a 2-vCPU Xeon (numpy 2.4, glibc
+# malloc), fresh `evprep intensity` runs on two 1M-event 640x480 streams
+# gave these minor page faults and peak RSS (adaptive on 100 bursty
+# segments; decay on 40 segments with hot pixels), against 4.3k/5.2k and
+# 51/52 MiB when the whole stream was read at once:
+#   2**16: 21.0k / 14.1k, 38 / 39 MiB     2**18: 4.2k / 5.4k, 38 / 41 MiB
+#   2**17: 21.4k / 4.3k, 38 / 40 MiB      2**19: 3.8k / 5.5k, 43 / 46 MiB
 # Below 2**18 the freed blocks leave glibc's mmap threshold under the
 # adaptive estimator's 2.4 MB frame-sized arrays, whose pages are then
-# faulted in again every segment. Wall time was the same within noise.
+# faulted in again every segment.
 SCAN_BLOCK = 2**18
 
 # INTF stores the frame count as u32, EVT1 the event count
@@ -123,6 +123,27 @@ MAX_SEGMENTS = 2**32 - 1
 MAX_EVENTS = 2**32 - 1
 # the estimators and state files keep times as int64 microseconds
 MAX_CLOCK_US = 2**63 - 1
+
+
+def _check_columns(lo: int, t, x, y, p, geometry: SensorGeometry):
+    """Check the columns of the records from ``lo`` on, ``t`` contiguous: raise
+    StreamOrderError at their first inversion, else return the errors of the
+    first record outside the sensor and of the first polarity not in {-1, +1},
+    or None. Only a failed max or min is searched for its record."""
+    inv = t[1:] < t[:-1]
+    if inv.any():
+        raise StreamOrderError(lo + int(inv.argmax()) + 1)
+    geometry_error = polarity_error = None
+    if t.size and (x.max() >= geometry.width or y.max() >= geometry.height):
+        j = int(np.flatnonzero((x >= geometry.width) | (y >= geometry.height))[0])
+        geometry_error = GeometryError(
+            f"event {lo + j} at ({x[j]}, {y[j]}) outside {geometry.width}x{geometry.height} sensor"
+        )
+    magnitude = np.abs(p)  # an int8 -128 stays -128
+    if t.size and (magnitude.min() != 1 or magnitude.max() != 1):
+        j = int(np.flatnonzero((p != 1) & (p != -1))[0])
+        polarity_error = FormatError(f"event {lo + j} has polarity {p[j]}, not -1 or +1")
+    return geometry_error, polarity_error
 
 
 def _scan(source, geometry: SensorGeometry, segment_duration_us: int | None = None):
@@ -139,35 +160,28 @@ def _scan(source, geometry: SensorGeometry, segment_duration_us: int | None = No
     keys, starts = [np.zeros(0, np.uint64)], [np.zeros(0, np.intp)]
     for lo in range(0, len(source), SCAN_BLOCK):
         block = source[lo : lo + SCAN_BLOCK]
-        t = block["t"]
+        t = np.ascontiguousarray(block["t"])
         if lo and t[0] < prev_t:
             raise StreamOrderError(lo)
-        inv = np.flatnonzero(t[1:] < t[:-1])
-        if inv.size:
-            raise StreamOrderError(lo + int(inv[0]) + 1)
-        prev_t = t[-1]
         # a bad record is remembered until the order check has seen them all
-        if geometry_error is None:
-            bad = np.flatnonzero((block["x"] >= geometry.width) | (block["y"] >= geometry.height))
-            if bad.size:
-                j = int(bad[0])
-                geometry_error = GeometryError(
-                    f"event {lo + j} at ({block['x'][j]}, {block['y'][j]}) outside "
-                    f"{geometry.width}x{geometry.height} sensor"
-                )
-        if polarity_error is None:
-            bad = np.flatnonzero((block["p"] != 1) & (block["p"] != -1))
-            if bad.size:
-                polarity_error = FormatError(
-                    f"event {lo + int(bad[0])} has polarity {block['p'][bad[0]]}, not -1 or +1"
-                )
+        errors = _check_columns(lo, t, block["x"], block["y"], block["p"], geometry)
+        geometry_error = geometry_error or errors[0]
+        polarity_error = polarity_error or errors[1]
+        prev_t = t[-1]
         if segment_duration_us is not None:
-            key = t // np.uint64(segment_duration_us)
-            new = np.flatnonzero(key[1:] != key[:-1]) + 1
-            if not lo or key[0] != prev_key:
-                new = np.concatenate(([0], new))
-            keys.append(key[new])
-            starts.append(new + lo)
+            q0, q1 = int(t[0]) // segment_duration_us, int(t[-1]) // segment_duration_us
+            if q1 - q0 < t.size:  # search for the block's multiples of T, cheaper than t // T
+                key = np.arange(q0, q1 + 1, dtype=np.uint64)
+                new = np.searchsorted(t, key * np.uint64(segment_duration_us))
+                nonempty = np.diff(new, append=t.size) > 0
+                key, new = key[nonempty], new[nonempty]
+            else:  # a span of more segments than records, of any length: t // T per record
+                key = t // np.uint64(segment_duration_us)
+                new = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
+                key = key[new]
+            seen = int(lo > 0 and key[0] == prev_key)  # a segment begun in an earlier block
+            keys.append(key[seen:])
+            starts.append(new[seen:] + lo)
             prev_key = key[-1]
         # freed before the next block is read, which can then reuse their memory
         block = t = key = None
@@ -247,26 +261,29 @@ def segment_stream(
     return list(segments), dropped
 
 
+def _edges(t, index: int, config: SegmentConfig) -> np.ndarray:
+    """:func:`bin_edges` of the sorted timestamps ``t`` of segment ``index``."""
+    start = (index - 1) * config.segment_duration_us
+    steps = np.arange(config.bins_per_segment + 1, dtype=np.uint64)
+    edges = np.searchsorted(t, np.uint64(start) + steps * np.uint64(config.bin_duration_us))
+    if edges[0] != 0 or edges[-1] != t.size:
+        raise ValueError(
+            f"segment {index}: {t.size - int(edges[-1] - edges[0])} "
+            f"events outside its window [{start}, {start + config.segment_duration_us})us"
+        )
+    return edges
+
+
 def bin_edges(segment: EventSegment, config: SegmentConfig) -> np.ndarray:
     """Event offsets of the segment's B+1 temporal bin edges.
 
     Bin tau holds ``segment.events[edges[tau]:edges[tau+1]]``: the events
     in [start + tau*T/B, start + (tau+1)*T/B) with start = (index-1)*T.
     Events must be sorted by time, as the scan behind :func:`iter_segments`
-    checks them.
+    checks them; the search runs on one contiguous copy of their timestamps.
     Raises ValueError if any event lies outside the segment's window.
     """
-    start = (segment.index - 1) * config.segment_duration_us
-    steps = np.arange(config.bins_per_segment + 1, dtype=np.uint64)
-    edges = np.searchsorted(
-        segment.events["t"], np.uint64(start) + steps * np.uint64(config.bin_duration_us)
-    )
-    if edges[0] != 0 or edges[-1] != segment.num_events:
-        raise ValueError(
-            f"segment {segment.index}: {segment.num_events - int(edges[-1] - edges[0])} "
-            f"events outside its window [{start}, {start + config.segment_duration_us})us"
-        )
-    return edges
+    return _edges(np.ascontiguousarray(segment.events["t"]), segment.index, config)
 
 
 def build_histogram(
@@ -278,27 +295,30 @@ def build_histogram(
     """Count events per (polarity, temporal bin, pixel), with the bins of
     ``bin_edges``.
 
-    Raises StreamOrderError or GeometryError for an unsorted or
-    out-of-geometry segment, ValueError for events outside its window or
-    a negative ``clip_max``.
+    Raises what :func:`validate_stream` raises for a bad segment, ValueError
+    for events outside its window or a negative ``clip_max``.
     """
     if clip_max is not None and not clip_max >= 0:
         raise ValueError(f"clip_max must be >= 0, got {clip_max}")
     B, H, W = config.bins_per_segment, geometry.height, geometry.width
-    ev = segment.events
-    validate_stream(ev, geometry)
-    edges = bin_edges(segment, config)
+    # each field read once, into a contiguous column the check, the edges and the key share
+    t, x, y, p = (np.ascontiguousarray(segment.events[f]) for f in EVENT_DTYPE.names)
+    errors = _check_columns(0, t, x, y, p, geometry)
+    if errors[0] or errors[1]:
+        raise errors[0] or errors[1]
+    edges = _edges(t, segment.index, config)
     # the flat index ((polarity * B + bin) * H + y) * W + x, built in place:
     # one array of n, where the bins as an np.repeat array would be a second.
     # int32 keys sort in about half the time of int64 ones when they fit.
-    key = (ev["p"] > 0).astype(np.int32 if 2 * B * H * W <= 2**31 else np.intp)
+    key = (p > 0).astype(np.int32 if 2 * B * H * W <= 2**31 else np.intp)
     key *= B
     for tau in range(1, B):
         key[edges[tau] : edges[tau + 1]] += tau
     key *= H
-    key += ev["y"]
+    key += y
     key *= W
-    key += ev["x"]
+    key += x
+    t = x = y = p = None  # freed before the runs' temporaries are made
     key.sort()
     # each run of equal keys is one cell; bounds holds the runs' starts, then n
     new_run = np.empty(key.size + 1, dtype=bool)

@@ -189,12 +189,13 @@ def write_pgm(path, frame: np.ndarray) -> None:
 
 
 def save_state(path, state: IntensityState) -> None:
+    decay = state.config.method is Method.PER_EVENT_DECAY  # the batch rule's last_event_t_us is 0
     with open(path, "wb") as fh:  # np.savez would append .npz to a path
         np.savez(
             fh,
             frame=state.frame,
             last_update_time_us=np.int64(state.last_update_time_us),
-            last_event_t_us=state.last_event_t_us,
+            **({"last_event_t_us": state.last_event_t_us} if decay else {}),
             width=np.int64(state.geometry.width),
             height=np.int64(state.geometry.height),
             method=np.bytes_(state.config.method.value.encode()),
@@ -207,7 +208,8 @@ def save_state(path, state: IntensityState) -> None:
 
 def load_state(path) -> IntensityState:
     """Read a ``save_state`` file, ignoring extra arrays; a missing or
-    malformed one, or a value no run could have saved, is a FormatError."""
+    malformed one, or a value no run could have saved, is a FormatError.
+    A batch-rule state without ``last_event_t_us`` gets it as zeros."""
     try:
         data = np.load(path)
         config = IntensityConfig(
@@ -217,12 +219,17 @@ def load_state(path) -> IntensityState:
             normalizer=int(data["normalizer"]),
             bin_duration_us=int(data["bin_duration_us"]),
         )
+        frame = data["frame"]
         state = IntensityState(
-            frame=data["frame"],
+            frame=frame,
             last_update_time_us=int(data["last_update_time_us"]),
             config=config,
             geometry=SensorGeometry(int(data["width"]), int(data["height"])),
-            last_event_t_us=data["last_event_t_us"],
+            last_event_t_us=(
+                data["last_event_t_us"]
+                if config.method is Method.PER_EVENT_DECAY or "last_event_t_us" in data
+                else np.zeros_like(frame, dtype=np.int64)
+            ),
         )
     except Exception as exc:
         raise FormatError(f"{path}: cannot read state file: {exc}") from exc

@@ -236,7 +236,8 @@ def _update_adaptive_segment(
             slot[u] = np.arange(size)
             b = slot[b]
         w = np.bincount(b, weights=p[lo:hi], minlength=size)
-        w *= cfg.threshold
+        if cfg.threshold != 1.0:  # w holds whole counts, which a factor of 1.0 keeps bit for bit
+            w *= cfg.threshold
         np.multiply(state.frame, _adaptive_decay(cfg, hi - lo), out=state.frame)
         flat[u] += w
     if events.shape[0]:  # every event lies in a bin

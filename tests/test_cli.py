@@ -799,6 +799,7 @@ def test_bench_reports_rates(evt1, capsys):
         # values no run can save: a frame step beyond float32, a normalizer past int64
         ("decay", "threshold", np.float64(1e300)),
         ("adaptive", "normalizer", np.uint64(2**63)),
+        ("decay", "last_event_t_us", None),  # only an adaptive state may omit it
     ],
 )
 def test_resume_bad_state_exit_2(tmp_path, capsys, method, name, value):

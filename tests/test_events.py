@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evprep import (
@@ -450,6 +450,13 @@ def sparse_streams(draw):
     num_segments=st.one_of(st.none(), st.integers(1, 15)),
     first_index=st.integers(1, 14),
 )
+# with 2 or 7 records a block, the first block spans more segments than it
+# has records, so its segment numbers come from t // T, not from a search
+@example(
+    events=make_events([0, 5000, 5001, 11_999], [0, 1, 2, 3], [0, 0, 1, 1], [1, -1, 1, -1]),
+    num_segments=None,
+    first_index=1,
+)
 @settings(max_examples=60, deadline=None)
 def test_block_scan_segments_match_whole_stream(block, events, num_segments, first_index):
     expected, expected_dropped = oracle_segment_stream(events, GEO, SMALL, num_segments, first_index)
@@ -525,3 +532,71 @@ def test_block_scan_error_precedence(n, faults, block):
     for kind, i in faults:
         spoil(events, kind, i % (n - 1) + 1)
     assert_same_error(events, block)
+
+
+def assert_same_error_from_file(events, block, tmp_path):
+    """assert_same_error's check of iter_segments on open_evt1's records."""
+    with pytest.raises(EvprepError) as want:
+        oracle_validate_stream(events, GEO)
+    path = tmp_path / "bad.evt1"
+    write_evt1(path, events, GEO)
+    records, _ = open_evt1(path)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(EvprepError) as got:
+        mp.setattr(events_module, "SCAN_BLOCK", block)
+        iter_segments(records, GEO, SMALL)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("block", [1, 4])
+@pytest.mark.parametrize("at", [3, 4, 8, 11])
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", 0), ("p", 2), ("p", -2), ("p", 127), ("p", -128), ("x", GEO.width), ("y", GEO.height)],
+)
+def test_reduction_checks_reject(tmp_path, block, at, field, value):
+    # each column is checked by its max (x, y) or by the min and max of |p|;
+    # |-128| wraps to -128 in int8, so -128 must still fail. With blocks of
+    # 4 records, events 4 and 8 start a block, 3 and 11 end one.
+    events = ordered_events(12)
+    events[field][at] = value
+    assert_same_error(events, block)
+    assert_same_error_from_file(events, block, tmp_path)
+
+
+@pytest.mark.parametrize("block", [1, 4])
+def test_reduction_checks_accept_sensor_edge(tmp_path, block):
+    # x = W-1 and y = H-1 lie on the sensor, one below what the max check rejects
+    events = ordered_events(12)
+    events["x"][[0, 4, 11]] = GEO.width - 1
+    events["y"][[3, 8, 11]] = GEO.height - 1
+    events["p"][::3] = -1
+    path = tmp_path / "edge.evt1"
+    write_evt1(path, events, GEO)
+    records, _ = open_evt1(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events_module, "SCAN_BLOCK", block)
+        validate_stream(events, GEO)
+        segs, _ = segment_stream(events, GEO, SMALL)
+        file_segs, _ = iter_segments(records, GEO, SMALL)
+        assert [s.events.tobytes() for s in file_segs] == [s.events.tobytes() for s in segs]
+        for seg in segs:
+            assert np.array_equal(
+                build_histogram(seg, GEO, SMALL).counts, floor_oracle(seg, GEO, SMALL)
+            )
+
+
+def test_histogram_of_strided_segment_matches_oracle(rng):
+    # every second record of a stream: a view whose columns are not contiguous
+    n = 400
+    events = make_events(
+        np.sort(rng.integers(0, 50_000, n)),
+        rng.integers(0, GEO.width, n),
+        rng.integers(0, GEO.height, n),
+        rng.choice([-1, 1], n),
+    )
+    seg = EventSegment(1, events[::2])
+    assert not seg.events.flags.c_contiguous
+    hist = build_histogram(seg, GEO, CFG, clip_max=1)
+    assert np.array_equal(hist.counts, floor_oracle(seg, GEO, CFG))
+    assert hist.total() == n // 2

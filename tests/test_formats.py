@@ -351,6 +351,30 @@ def test_state_roundtrip(tmp_path, rng):
     assert np.array_equal(back.last_event_t_us, state.last_event_t_us)
 
 
+def test_adaptive_state_omits_last_event_times(tmp_path, rng):
+    # the batch rule never reads last_event_t_us, so its all-zero array is
+    # not saved, and a state without it loads with zeros
+    cfg = IntensityConfig(Method.ADAPTIVE_BATCH, threshold=0.5)
+    state = IntensityState.initial(GEO, cfg)
+    state.frame[:] = rng.normal(size=state.frame.shape)
+    state.last_update_time_us = 150_000
+    path = tmp_path / "state.npz"
+    save_state(path, state)
+    with np.load(path) as data:
+        assert "last_event_t_us" not in data.files
+    back = load_state(path)
+    assert back.config == cfg
+    assert np.array_equal(back.frame, state.frame)
+    assert back.last_event_t_us.dtype == np.int64
+    assert back.last_event_t_us.shape == state.frame.shape
+    assert not back.last_event_t_us.any()
+    # older versions saved the zeros; such a state still loads
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    np.savez(tmp_path / "old.npz", last_event_t_us=np.zeros_like(state.frame, np.int64), **arrays)
+    assert np.array_equal(load_state(tmp_path / "old.npz").frame, state.frame)
+
+
 def test_load_state_garbage(tmp_path):
     path = tmp_path / "junk.npz"
     path.write_bytes(b"not an archive")
@@ -401,6 +425,7 @@ def test_evt1_records_validated(tmp_path, capsys):
         ("frame", np.full((2, 3), np.nan)),
         ("last_update_time_us", np.int64(-1)),
         ("last_event_t_us", np.ones((2, 3), dtype=np.int64)),  # past the clock, 0
+        ("last_event_t_us", None),  # a decay state needs it
     ],
 )
 def test_load_state_checks_arrays(tmp_path, name, value):

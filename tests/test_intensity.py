@@ -387,6 +387,18 @@ def adaptive_runs(draw):
         0,
     )
 )
+# a threshold of exactly 1.0 adds the bins' counts unscaled: bin 0's 3
+# events are dense on 40 pixels, bin 1's 2 events take the slot path
+@example(
+    (
+        make_events([1, 2, 3, 6, 7], [0, 5, 5, 5, 9], [0, 0, 0, 0, 0], [1, -1, -1, 1, -1]),
+        SensorGeometry(40, 1),
+        SegmentConfig(10, 2),
+        adaptive_cfg(alpha_per_s=1e5, threshold=1.0, normalizer=3, bin_duration_us=5),
+        2,
+        1,
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_adaptive_matches_histogram_oracle(run):
     events, geo, seg, cfg, num_segments, first = run
@@ -410,8 +422,8 @@ def test_adaptive_matches_histogram_oracle(run):
 # sparse on 32, where it adds only to its own pixel (16 * 1 < 32)
 @pytest.mark.parametrize(
     "threshold, width",
-    [(2.0, 2), (-2.0, 2), (2.0, 32), (-2.0, 32)],
-    ids=["2.0", "-2.0", "sparse-2.0", "sparse--2.0"],
+    [(2.0, 2), (-2.0, 2), (2.0, 32), (-2.0, 32), (1.0, 2)],
+    ids=["2.0", "-2.0", "sparse-2.0", "sparse--2.0", "1.0"],
 )
 def test_adaptive_signed_zero_matches_oracle(threshold, width):
     # bin 0 leaves pixel (0, 0) at -2; bin 1 has one event at pixel (1, 0)
