@@ -1,4 +1,4 @@
-"""Command-line entry point: simulate / intensity / report / pretrain-toy / bench."""
+"""Command-line entry point: simulate / intensity / report / pretrain-toy."""
 
 from __future__ import annotations
 
@@ -7,15 +7,13 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 from evprep.errors import EvprepError, FormatError, GeometryError
-from evprep.events import SegmentConfig, SensorGeometry, build_histogram, iter_segments
+from evprep.events import SegmentConfig, SensorGeometry
 from evprep.formats import (
     load_state,
     open_evt1,
-    read_evt1,
     read_text_events,
     save_state,
     write_evt1,
@@ -105,12 +103,9 @@ def _clashing_output(args) -> str | None:
     return None
 
 
-def _add_segment_flags(p):
+def _add_pipeline_flags(p):
     p.add_argument("--segment-ms", type=_positive_float, default=50.0, help="segment duration T (ms)")
     p.add_argument("--bins", type=_positive_int, default=10, help="temporal bins B per segment")
-
-
-def _add_estimator_flags(p):
     p.add_argument("--alpha", type=float, default=5.0)
     p.add_argument("--threshold", type=float, default=1.0)
     p.add_argument("--normalizer", type=int, default=5000)
@@ -127,8 +122,7 @@ def cmd_simulate(args) -> int:
 
 
 def _with_previews(frames, out_dir: Path):
-    """Pass ``frames`` through, writing each one's PGM preview on the way."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Pass ``frames`` through, writing each one's PGM preview into ``out_dir``."""
     for i, frame in enumerate(frames):
         write_pgm(out_dir / f"frame_{i:05d}.pgm", frame)
         yield frame
@@ -152,6 +146,8 @@ def cmd_intensity(args) -> int:
     )
     frames = (frame for _, frame in stages)
     if args.pgm_dir:
+        # made before -o is opened: a --pgm-dir that cannot be a directory leaves -o alone
+        Path(args.pgm_dir).mkdir(parents=True, exist_ok=True)
         frames = _with_previews(frames, Path(args.pgm_dir))
     count = write_intf(args.output, frames, geometry)
     if args.save_state:
@@ -223,35 +219,6 @@ def cmd_pretrain_toy(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    events, geometry = read_evt1(args.input)
-    seg_config = args.seg_config
-    n = events.shape[0]
-    print(f"events: {n}")
-
-    def rate(outputs) -> float:
-        """Events per second of computing every item of ``outputs()``."""
-        if n == 0:
-            return 0.0
-        start = time.perf_counter()
-        for _ in outputs():
-            pass
-        return n / (time.perf_counter() - start)
-
-    def histograms():
-        segments, _ = iter_segments(events, geometry, seg_config)
-        return (build_histogram(s, geometry, seg_config) for s in segments)
-
-    config = IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=seg_config.bin_duration_us)
-    histogram = rate(histograms)
-    print(f"segmentation+histogram: {histogram / 1e6:.2f} M events/s")
-    print(f"histogram_events_per_s: {histogram:.0f}")
-    adaptive = rate(lambda: iter_sequence(events, geometry, seg_config, config)[1])
-    print(f"adaptive intensity: {adaptive / 1e6:.2f} M events/s")
-    print(f"adaptive_events_per_s: {adaptive:.0f}")
-    return EXIT_OK
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="evprep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,13 +234,13 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", required=True, help="INTF output path")
     p.add_argument("--method", choices=("decay", "adaptive"), default="adaptive")
     p.add_argument("--geometry", type=_geometry, help="WxH, switches input to text event format")
-    _add_segment_flags(p)
-    _add_estimator_flags(p)
+    _add_pipeline_flags(p)
     p.add_argument("--segments", type=_positive_int, help="number of segments (default: cover stream)")
     p.add_argument("--resume", help="state file from a previous --save-state run")
     p.add_argument("--save-state", help="write resumable state here")
     p.add_argument("--pgm-dir", help="also write 8-bit PGM previews")
-    p.set_defaults(func=cmd_intensity, reads=("input", "--resume"), writes=("-o", "--save-state"))
+    p.set_defaults(func=cmd_intensity, reads=("input", "--resume"),
+                   writes=("-o", "--save-state", "--pgm-dir"))
 
     p = sub.add_parser("report", help="trail-energy table for an INTF frame stack")
     p.add_argument("frames", help="INTF file")
@@ -292,17 +259,11 @@ def build_parser() -> _Parser:
     p.add_argument("--ratio", type=_fraction, default=0.5)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--feedforward", action="store_true", help="disable recurrence")
-    _add_segment_flags(p)
-    _add_estimator_flags(p)
+    _add_pipeline_flags(p)
     p.add_argument("--segments", type=_positive_int)
     p.add_argument("--params", help="write trained parameter blob here")
     p.set_defaults(func=cmd_pretrain_toy, method=Method.ADAPTIVE_BATCH.value, usage_error=p.error,
                    reads=("scene",), writes=("-o", "--params"))
-
-    p = sub.add_parser("bench", help="kernel throughput report")
-    p.add_argument("input", help="EVT1 file")
-    _add_segment_flags(p)
-    p.set_defaults(func=cmd_bench, reads=("input",), writes=())
 
     return parser
 
@@ -315,7 +276,6 @@ def main(argv=None) -> int:
             args.seg_config = SegmentConfig(int(round(args.segment_ms * 1000)), args.bins)
         except ValueError as exc:
             parser.error(f"--segment-ms {args.segment_ms:g} with --bins {args.bins}: {exc}")
-    if "alpha" in args:
         try:
             args.int_config = IntensityConfig(Method(args.method), args.alpha, args.threshold,
                                               args.normalizer, args.seg_config.bin_duration_us)

@@ -181,15 +181,10 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
         ("pretrain-toy", "--patch", "65536"),
         ("pretrain-toy", "--lr", "nan"),
         ("pretrain-toy", "--seed", "-1"),
-        ("bench", "--segment-ms", "0"),
-        ("bench", "--segment-ms", "0.0004"),
-        ("bench", "--bins", "3"),
         ("report", "--after-us", "-1000000"),
     ],
 )
-def test_bad_flag_exit_1_other_commands(
-    evt1, tmp_path, capsys, monkeypatch, command, flag, value
-):
+def test_bad_flag_exit_1_other_commands(tmp_path, capsys, monkeypatch, command, flag, value):
     def no_simulation(*args):
         raise AssertionError("a usage error must be found before simulating")
 
@@ -197,10 +192,8 @@ def test_bad_flag_exit_1_other_commands(
     out = tmp_path / "curve.txt"
     if command == "pretrain-toy":
         argv = [command, str(SCENES / "disc.scene"), "-o", str(out), "--steps", "1"]
-    elif command == "report":
-        argv = [command, str(tmp_path / "frames.intf"), str(SCENES / "disc.scene")]
     else:
-        argv = [command, str(evt1)]
+        argv = [command, str(tmp_path / "frames.intf"), str(SCENES / "disc.scene")]
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, value])
     assert exc.value.code == 1
@@ -431,6 +424,15 @@ def test_bad_stream_leaves_outputs_alone(tmp_path, capsys, t, x, p, message):
     assert not state.exists() and not previews.exists()
 
 
+def test_pgm_dir_not_a_directory_leaves_output_alone(evt1, tmp_path, capsys):
+    out, not_a_dir = tmp_path / "frames.intf", tmp_path / "notes.txt"
+    out.write_bytes(b"an earlier run's frames")
+    not_a_dir.write_text("a file")
+    assert main(["intensity", str(evt1), "-o", str(out), "--pgm-dir", str(not_a_dir)]) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier run's frames"
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_intensity_unseekable_output_exit_2(evt1, tmp_path, capsys):
     read_end, write_end = os.pipe()
@@ -538,6 +540,14 @@ def named_files(tmp_path, monkeypatch):
         pytest.param(["pretrain-toy", "s.scene", "-o", "new.txt", "--params", "new.txt"],
                      "--params 'new.txt' names the same file as -o 'new.txt'",
                      id="pretrain-toy-two-outputs"),
+        # the previews directory is made after -o is opened, so a clash found
+        # only then would leave -o cut to its header
+        pytest.param(["intensity", "d.evt1", "-o", "r.intf", "--pgm-dir", "r.intf"],
+                     "--pgm-dir 'r.intf' names the same file as -o 'r.intf'",
+                     id="pgm-dir-output"),
+        pytest.param(["intensity", "d.evt1", "-o", "new.intf", "--pgm-dir", "d.evt1"],
+                     "--pgm-dir 'd.evt1' names the same file as input 'd.evt1'",
+                     id="pgm-dir-input"),
     ],
 )
 def test_output_naming_another_file_exit_1(named_files, capsys, argv, message):
@@ -763,22 +773,6 @@ def test_pretrain_toy_diverged_exit_2(tmp_path, capsys):
     assert not curve.exists()
 
 
-def test_bench_empty_file(tmp_path, capsys):
-    empty = tmp_path / "empty.evt1"
-    write_evt1(empty, make_events([], [], [], []), SensorGeometry(8, 8))
-    assert main(["bench", str(empty)]) == 0
-    out = capsys.readouterr().out
-    assert "events: 0" in out
-    assert "histogram_events_per_s: 0" in out
-
-
-def test_bench_reports_rates(evt1, capsys):
-    assert main(["bench", str(evt1)]) == 0
-    out = capsys.readouterr().out
-    assert "M events/s" in out
-    assert "histogram_events_per_s" in out
-
-
 @pytest.mark.parametrize(
     "method, name, value",
     [
@@ -820,6 +814,29 @@ def test_resume_bad_state_exit_2(tmp_path, capsys, method, name, value):
     assert main(argv + ["-o", str(out), "--resume", str(state)]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_path_argument_is_checked_for_clashes():
+    """Each argument that takes a path (a value with no type and no choices)
+    is in its command's reads or writes, so an output cannot name it."""
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unchecked = [
+        f"{name} {(action.option_strings or [action.dest])[0]}"
+        for name, command in commands.choices.items()
+        for action in command._actions
+        if action.nargs != 0 and action.type is None and action.choices is None
+        and not set(action.option_strings or [action.dest]) & set(
+            command.get_default("reads") + command.get_default("writes"))
+    ]
+    assert unchecked == []
+
+
+def test_bench_is_gone(evt1, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(evt1)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "argument command: invalid choice: 'bench'" in err and "Traceback" not in err
 
 
 def test_every_option_has_a_test():

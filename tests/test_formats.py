@@ -110,8 +110,8 @@ def test_evt1_records_read_in_slices(tmp_path, rng):
 
 def assert_records_checked_downstream(tmp_path, capsys, events, error, message):
     """read_evt1 checks the framing only: it returns well-framed bad records
-    as they are, and segment_stream, as `evprep intensity` and `evprep bench`
-    run it, rejects them with ``error(message)`` and exit 2."""
+    as they are; segment_stream rejects them with ``error(message)``, and
+    `evprep intensity` with that message and exit 2."""
     path = tmp_path / "bad.evt1"
     write_evt1(path, events, GEO)
     back, geometry = read_evt1(path)
@@ -119,9 +119,8 @@ def assert_records_checked_downstream(tmp_path, capsys, events, error, message):
     with pytest.raises(error) as exc:
         segment_stream(back, geometry, SegmentConfig(10_000, 5))
     assert str(exc.value) == message
-    for argv in (["intensity", str(path), "-o", str(tmp_path / "o.intf")], ["bench", str(path)]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"evprep: error: {message}\n"
+    assert main(["intensity", str(path), "-o", str(tmp_path / "o.intf")]) == 2
+    assert capsys.readouterr().err == f"evprep: error: {message}\n"
 
 
 def test_evt1_bad_polarity(tmp_path, capsys):
