@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -88,9 +89,17 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _is_preview(path: str, pgm_dir: str) -> bool:
+    """Whether the real path of ``path`` lies in ``pgm_dir`` under a name
+    :func:`_with_previews` gives a preview."""
+    head, name = os.path.split(os.path.realpath(path))
+    return head == os.path.realpath(pgm_dir) and bool(re.fullmatch(r"frame_[0-9]{5,}\.pgm", name))
+
+
 def _clashing_output(args) -> str | None:
     """The usage error of an output that names a file the command reads, or
-    another of its outputs; ``--save-state`` may update ``--resume`` in place."""
+    another of its outputs, or of a preview that would overwrite either;
+    ``--save-state`` may update ``--resume`` in place."""
     named = []
     for flag in args.reads + args.writes:
         path = getattr(args, "output" if flag == "-o" else flag.lstrip("-").replace("-", "_"))
@@ -99,6 +108,9 @@ def _clashing_output(args) -> str | None:
         for earlier, other in named if flag in args.writes else ():
             if (flag, earlier) != ("--save-state", "--resume") and _same_file(path, other):
                 return f"{flag} {path!r} names the same file as {earlier} {other!r}"
+            # --pgm-dir is named last, after every path a preview could overwrite
+            if flag == "--pgm-dir" and _is_preview(other, path):
+                return f"{flag} {path!r} would write a preview over {earlier} {other!r}"
         named.append((flag, path))
     return None
 
@@ -121,10 +133,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _with_previews(frames, out_dir: Path):
-    """Pass ``frames`` through, writing each one's PGM preview into ``out_dir``."""
-    for i, frame in enumerate(frames):
-        write_pgm(out_dir / f"frame_{i:05d}.pgm", frame)
+def _with_previews(stages, out_dir: Path):
+    """Pass the frames of ``stages`` through, writing each one's PGM preview
+    into ``out_dir``, named by its segment: a resumed run's follow a first run's."""
+    for segment, frame in stages:
+        write_pgm(out_dir / f"frame_{segment.index - 1:05d}.pgm", frame)
         yield frame
 
 
@@ -144,11 +157,12 @@ def cmd_intensity(args) -> int:
         resume=resume,
         num_segments=args.segments,
     )
-    frames = (frame for _, frame in stages)
     if args.pgm_dir:
         # made before -o is opened: a --pgm-dir that cannot be a directory leaves -o alone
         Path(args.pgm_dir).mkdir(parents=True, exist_ok=True)
-        frames = _with_previews(frames, Path(args.pgm_dir))
+        frames = _with_previews(stages, Path(args.pgm_dir))
+    else:
+        frames = (frame for _, frame in stages)
     count = write_intf(args.output, frames, geometry)
     if args.save_state:
         save_state(args.save_state, state)

@@ -146,17 +146,18 @@ def _check_columns(lo: int, t, x, y, p, geometry: SensorGeometry):
     return geometry_error, polarity_error
 
 
-def _scan(source, geometry: SensorGeometry, segment_duration_us: int | None = None):
+def _scan(source, geometry: SensorGeometry, segment_duration_us: int):
     """Check every record of ``source``, ``SCAN_BLOCK`` records at a time.
 
     ``source`` is a record array or anything with ``len()`` and ``[lo:hi]``
     slicing to one, such as ``formats.open_evt1``'s. Raises what the first
     bad record calls for: the first inversion anywhere, else the first
     record outside the sensor, else the first polarity not in {-1, +1}.
-    Given T, returns the segment numbers t // T of the non-empty segments,
+    Returns the segment numbers t // T of the non-empty segments,
     ascending, and the offsets where they start.
     """
     geometry_error = polarity_error = None
+    T = np.uint64(segment_duration_us)
     keys, starts = [np.zeros(0, np.uint64)], [np.zeros(0, np.intp)]
     for lo in range(0, len(source), SCAN_BLOCK):
         block = source[lo : lo + SCAN_BLOCK]
@@ -168,21 +169,16 @@ def _scan(source, geometry: SensorGeometry, segment_duration_us: int | None = No
         geometry_error = geometry_error or errors[0]
         polarity_error = polarity_error or errors[1]
         prev_t = t[-1]
-        if segment_duration_us is not None:
-            q0, q1 = int(t[0]) // segment_duration_us, int(t[-1]) // segment_duration_us
-            if q1 - q0 < t.size:  # search for the block's multiples of T, cheaper than t // T
-                key = np.arange(q0, q1 + 1, dtype=np.uint64)
-                new = np.searchsorted(t, key * np.uint64(segment_duration_us))
-                nonempty = np.diff(new, append=t.size) > 0
-                key, new = key[nonempty], new[nonempty]
-            else:  # a span of more segments than records, of any length: t // T per record
-                key = t // np.uint64(segment_duration_us)
-                new = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
-                key = key[new]
-            seen = int(lo > 0 and key[0] == prev_key)  # a segment begun in an earlier block
-            keys.append(key[seen:])
-            starts.append(new[seen:] + lo)
-            prev_key = key[-1]
+        q0, q1 = int(t[0] // T), int(t[-1] // T)
+        # search for each segment number of the block's span, or for t // T's if fewer
+        key = np.arange(q0, q1 + 1, dtype=np.uint64) if q1 - q0 < t.size else np.unique(t // T)
+        new = np.searchsorted(t, key * T)
+        nonempty = np.diff(new, append=t.size) > 0
+        key, new = key[nonempty], new[nonempty]
+        seen = int(lo > 0 and key[0] == prev_key)  # a segment begun in an earlier block
+        keys.append(key[seen:])
+        starts.append(new[seen:] + lo)
+        prev_key = key[-1]
         # freed before the next block is read, which can then reuse their memory
         block = t = key = None
     if geometry_error or polarity_error:
@@ -191,8 +187,9 @@ def _scan(source, geometry: SensorGeometry, segment_duration_us: int | None = No
 
 
 def validate_stream(events, geometry: SensorGeometry) -> None:
-    """Reject unsorted streams, out-of-geometry coordinates and polarities not in {-1, +1}."""
-    _scan(events, geometry)
+    """Reject unsorted streams, out-of-geometry coordinates and polarities not in
+    {-1, +1}: :func:`iter_segments`'s scan, of one segment spanning the int64 clock."""
+    iter_segments(events, geometry, SegmentConfig(MAX_CLOCK_US, 1), 1)
 
 
 def iter_segments(
@@ -236,7 +233,8 @@ def iter_segments(
         )
     # offsets[j] is where the j-th non-empty segment starts, and ends the one before
     offsets = np.append(starts, n)
-    first, last = np.searchsorted(keys, [q0, q0 + num_segments])
+    # uint64 bounds: Python ints would be compared with the keys as float64
+    first, last = np.searchsorted(keys, np.array([q0, q0 + num_segments], dtype=np.uint64))
 
     def segments():
         j = int(first)

@@ -508,14 +508,15 @@ def test_output_written_at_exact_path(evt1, tmp_path, command, flag):
 
 @pytest.fixture
 def named_files(tmp_path, monkeypatch):
-    """A scene, its events, frames and state, and a hard link to the events,
-    in the working directory."""
+    """A scene, its events, frames and state, a hard link to the events and a
+    copy of them under a preview's name, in the working directory."""
     monkeypatch.chdir(tmp_path)
     Path("s.scene").write_bytes((SCENES / "disc.scene").read_bytes())
     assert main(["simulate", "s.scene", "-o", "d.evt1"]) == 0
     assert main(["intensity", "d.evt1", "-o", "r.intf", "--segments", "2",
                  "--save-state", "st.npz"]) == 0
     os.link("d.evt1", "link.evt1")
+    Path("frame_00000.pgm").write_bytes(Path("d.evt1").read_bytes())
     return tmp_path
 
 
@@ -548,6 +549,18 @@ def named_files(tmp_path, monkeypatch):
         pytest.param(["intensity", "d.evt1", "-o", "new.intf", "--pgm-dir", "d.evt1"],
                      "--pgm-dir 'd.evt1' names the same file as input 'd.evt1'",
                      id="pgm-dir-input"),
+        # a path under the name of one of the previews, which would overwrite it
+        pytest.param(["intensity", "frame_00000.pgm", "-o", "new.intf", "--pgm-dir", "."],
+                     "--pgm-dir '.' would write a preview over input 'frame_00000.pgm'",
+                     id="preview-input"),
+        pytest.param(["intensity", "d.evt1", "-o", "prev/frame_00001.pgm", "--pgm-dir", "prev"],
+                     "--pgm-dir 'prev' would write a preview over -o 'prev/frame_00001.pgm'",
+                     id="preview-output"),
+        pytest.param(["intensity", "d.evt1", "-o", "new.intf",
+                      "--save-state", "prev/frame_00002.pgm", "--pgm-dir", "prev"],
+                     "--pgm-dir 'prev' would write a preview over "
+                     "--save-state 'prev/frame_00002.pgm'",
+                     id="preview-state"),
     ],
 )
 def test_output_naming_another_file_exit_1(named_files, capsys, argv, message):
@@ -558,6 +571,14 @@ def test_output_naming_another_file_exit_1(named_files, capsys, argv, message):
     assert exc.value.code == 1
     assert f"evprep: error: {message}" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in named_files.iterdir()} == before
+
+
+def test_other_names_in_pgm_dir_allowed(named_files):
+    assert main(["intensity", "d.evt1", "-o", "prev/frames.intf", "--segments", "3",
+                 "--save-state", "prev/state.npz", "--pgm-dir", "prev"]) == 0
+    assert sorted(path.name for path in Path("prev").iterdir()) == [
+        "frame_00000.pgm", "frame_00001.pgm", "frame_00002.pgm", "frames.intf", "state.npz"
+    ]
 
 
 def test_save_state_updates_resume_in_place(named_files):
@@ -619,6 +640,19 @@ def test_pgm_previews(evt1, tmp_path):
     files = sorted(pgm_dir.glob("*.pgm"))
     assert len(files) == 2
     assert files[0].read_bytes().startswith(b"P5\n")
+
+
+def test_resumed_previews_follow_the_first_runs(evt1, tmp_path):
+    def run(pgm_dir, *flags):
+        assert main(["intensity", str(evt1), "-o", str(tmp_path / "frames.intf"),
+                     "--segment-ms", "10", "--bins", "2", "--pgm-dir", str(pgm_dir), *flags]) == 0
+        return {path.name: path.read_bytes() for path in pgm_dir.iterdir()}
+
+    state = str(tmp_path / "state.npz")
+    run(tmp_path / "split", "--segments", "3", "--save-state", state)
+    split = run(tmp_path / "split", "--segments", "3", "--resume", state)
+    assert split == run(tmp_path / "single", "--segments", "6")
+    assert sorted(split) == [f"frame_{i:05d}.pgm" for i in range(6)]
 
 
 def test_report_table_and_json(evt1, tmp_path, capsys):

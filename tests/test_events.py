@@ -67,6 +67,17 @@ def test_first_index_offsets_windows_and_counts_events_outside():
         segment_stream(ev, GEO, CFG, 1, first_index=0)
 
 
+def test_window_past_segment_2_53_keeps_its_events():
+    # past 2**53 a float64 cannot tell neighbouring segment numbers apart
+    ev = make_events([2**60, 2**60 + 1, 2**60 + 2], [0, 1, 2], [0, 0, 0], [1, 1, 1])
+    segs, dropped = segment_stream(
+        ev, SensorGeometry(4, 4), SegmentConfig(1, 1), 3, first_index=2**60 + 1
+    )
+    assert [s.index for s in segs] == [2**60 + 1, 2**60 + 2, 2**60 + 3]
+    assert [s.num_events for s in segs] == [1, 1, 1]
+    assert dropped == 0
+
+
 def test_unsorted_rejected_with_index():
     ev = make_events([5, 3, 7], [0, 0, 0], [0, 0, 0], [1, 1, 1])
     with pytest.raises(StreamOrderError) as exc:
@@ -444,16 +455,32 @@ def sparse_streams(draw):
     )
 
 
-@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("block", [1, 2, 4, 7])
 @given(
     events=sparse_streams(),
     num_segments=st.one_of(st.none(), st.integers(1, 15)),
     first_index=st.integers(1, 14),
 )
-# with 2 or 7 records a block, the first block spans more segments than it
-# has records, so its segment numbers come from t // T, not from a search
+# with 2, 4 or 7 records a block, the first block spans more segments than it
+# has records, so its segment numbers come from t // T, not from its span
 @example(
     events=make_events([0, 5000, 5001, 11_999], [0, 1, 2, 3], [0, 0, 1, 1], [1, -1, 1, -1]),
+    num_segments=None,
+    first_index=1,
+)
+# with 4 records a block: the first block spans as many segments as it has
+# records, the second (which goes on with the first's last segment) more
+@example(
+    events=make_events([0, 1000, 2000, 3000, 3500, 5000, 6000, 9000],
+                       [0] * 8, [0] * 8, [1, -1] * 4),
+    num_segments=None,
+    first_index=1,
+)
+# with 4 records a block: the first block spans one segment more than it has
+# records, the second only the first's last segment
+@example(
+    events=make_events([0, 1000, 2000, 4000, 4500, 4600, 4700, 4999],
+                       [0] * 8, [0] * 8, [1, -1] * 4),
     num_segments=None,
     first_index=1,
 )
@@ -532,6 +559,22 @@ def test_block_scan_error_precedence(n, faults, block):
     for kind, i in faults:
         spoil(events, kind, i % (n - 1) + 1)
     assert_same_error(events, block)
+
+
+@pytest.mark.parametrize("block", [1, 2, 4])
+def test_validate_stream_takes_the_whole_clock(block):
+    # validate_stream scans for one segment of T = 2**63 - 1, yet records
+    # past 2T, up to 2**64 - 1, are valid and checked as any other
+    t = [0, 2**63 - 2, 2**63 - 1, 2**63, 2**64 - 3, 2**64 - 2, 2**64 - 1, 2**64 - 1]
+    events = make_events(t, np.arange(8) % GEO.width, np.zeros(8), np.ones(8))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events_module, "SCAN_BLOCK", block)
+        validate_stream(events, GEO)
+    for kind in BAD_RECORDS:
+        for at in (2, 4, 7):
+            spoiled = events.copy()
+            spoil(spoiled, kind, at)
+            assert_same_error(spoiled, block)
 
 
 def assert_same_error_from_file(events, block, tmp_path):
