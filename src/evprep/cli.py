@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -96,13 +97,17 @@ def _is_preview(path: str, pgm_dir: str) -> bool:
     return head == os.path.realpath(pgm_dir) and bool(re.fullmatch(r"frame_[0-9]{5,}\.pgm", name))
 
 
+def _flag_path(args, flag: str):
+    return getattr(args, "output" if flag == "-o" else flag.lstrip("-").replace("-", "_"))
+
+
 def _clashing_output(args) -> str | None:
     """The usage error of an output that names a file the command reads, or
     another of its outputs, or of a preview that would overwrite either;
     ``--save-state`` may update ``--resume`` in place."""
     named = []
     for flag in args.reads + args.writes:
-        path = getattr(args, "output" if flag == "-o" else flag.lstrip("-").replace("-", "_"))
+        path = _flag_path(args, flag)
         if not path:
             continue
         for earlier, other in named if flag in args.writes else ():
@@ -115,12 +120,25 @@ def _clashing_output(args) -> str | None:
     return None
 
 
+def _check_output_dirs(args) -> None:
+    """Raise the OSError of an output whose directory is missing, unless
+    ``--pgm-dir``, which the command makes with its parents, lies in it."""
+    made = getattr(args, "pgm_dir", None)
+    made = made and Path(os.path.abspath(made))
+    for flag in args.writes:
+        path = _flag_path(args, flag)
+        head = path and Path(os.path.abspath(path)).parent
+        if head and not (head.is_dir() or made and made.is_relative_to(head)):
+            code = errno.ENOTDIR if head.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+
+
 def _add_pipeline_flags(p):
     p.add_argument("--segment-ms", type=_positive_float, default=50.0, help="segment duration T (ms)")
     p.add_argument("--bins", type=_positive_int, default=10, help="temporal bins B per segment")
-    p.add_argument("--alpha", type=float, default=5.0)
-    p.add_argument("--threshold", type=float, default=1.0)
-    p.add_argument("--normalizer", type=int, default=5000)
+    p.add_argument("--alpha", type=float, default=IntensityConfig.alpha_per_s)
+    p.add_argument("--threshold", type=float, default=IntensityConfig.threshold)
+    p.add_argument("--normalizer", type=int, default=IntensityConfig.normalizer)
 
 
 def cmd_simulate(args) -> int:
@@ -300,6 +318,7 @@ def main(argv=None) -> int:
     if clash:
         parser.error(clash)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except (EvprepError, OSError, ValueError, MemoryError) as exc:
         print(f"evprep: error: {exc}", file=sys.stderr)

@@ -6,13 +6,17 @@ from __future__ import annotations
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from evprep.errors import FormatError, GeometryError
 from evprep.events import EVENT_DTYPE, MAX_SEGMENTS, SensorGeometry
 from evprep.intensity import IntensityConfig, IntensityState, Method
+
+# a state file's settings beside its method, each with its default's type
+_SETTINGS = {f.name: type(f.default) for f in fields(IntensityConfig) if f.name != "method"}
 
 
 class Header:
@@ -178,12 +182,14 @@ def write_pgm(path, frame: np.ndarray) -> None:
     """8-bit binary PGM (P5) after per-frame affine rescale to [0, 255].
 
     Visualization only; loss computation always reads raw INTF values.
+    The file is made new, never opened through a link of that name.
     """
     lo, hi = float(frame.min()), float(frame.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     img = ((np.asarray(frame, np.float64) - lo) * scale).round().astype(np.uint8)
     h, w = img.shape
-    with open(path, "wb") as fh:
+    Path(path).unlink(missing_ok=True)
+    with open(path, "xb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
 
@@ -199,10 +205,7 @@ def save_state(path, state: IntensityState) -> None:
             width=np.int64(state.geometry.width),
             height=np.int64(state.geometry.height),
             method=np.bytes_(state.config.method.value.encode()),
-            alpha_per_s=np.float64(state.config.alpha_per_s),
-            threshold=np.float64(state.config.threshold),
-            normalizer=np.int64(state.config.normalizer),
-            bin_duration_us=np.int64(state.config.bin_duration_us),
+            **{key: np.array(getattr(state.config, key), kind) for key, kind in _SETTINGS.items()},
         )
 
 
@@ -213,18 +216,15 @@ def load_state(path) -> IntensityState:
     try:
         data = np.load(path)
         config = IntensityConfig(
-            method=Method(bytes(data["method"]).decode()),
-            alpha_per_s=float(data["alpha_per_s"]),
-            threshold=float(data["threshold"]),
-            normalizer=int(data["normalizer"]),
-            bin_duration_us=int(data["bin_duration_us"]),
+            Method(bytes(data["method"]).decode()),
+            **{key: kind(data[key]) for key, kind in _SETTINGS.items()},
         )
         frame = data["frame"]
+        geometry = SensorGeometry(int(data["width"]), int(data["height"]))
         state = IntensityState(
             frame=frame,
             last_update_time_us=int(data["last_update_time_us"]),
             config=config,
-            geometry=SensorGeometry(int(data["width"]), int(data["height"])),
             last_event_t_us=(
                 data["last_event_t_us"]
                 if config.method is Method.PER_EVENT_DECAY or "last_event_t_us" in data
@@ -233,7 +233,7 @@ def load_state(path) -> IntensityState:
         )
     except Exception as exc:
         raise FormatError(f"{path}: cannot read state file: {exc}") from exc
-    shape = (state.geometry.height, state.geometry.width)
+    shape = (geometry.height, geometry.width)
     for name, dtype in (("frame", np.float64), ("last_event_t_us", np.int64)):
         array = getattr(state, name)
         if array.dtype != dtype or array.shape != shape:

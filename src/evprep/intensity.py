@@ -67,7 +67,8 @@ class IntensityConfig:
 
 @dataclass
 class IntensityState:
-    """Resumable estimator state; ``last_update_time_us`` is its clock.
+    """Resumable estimator state; ``last_update_time_us`` is its clock,
+    and the frame's shape is its geometry.
 
     ``last_event_t_us`` holds the per-pixel last-event timestamps needed
     by the per-event decay rule; it stays all-zero under the batch rule.
@@ -76,19 +77,17 @@ class IntensityState:
     frame: np.ndarray
     last_update_time_us: int
     config: IntensityConfig
-    geometry: SensorGeometry
     last_event_t_us: np.ndarray
+
+    @property
+    def geometry(self) -> SensorGeometry:
+        height, width = self.frame.shape
+        return SensorGeometry(width, height)
 
     @classmethod
     def initial(cls, geometry: SensorGeometry, config: IntensityConfig) -> "IntensityState":
         shape = (geometry.height, geometry.width)
-        return cls(
-            frame=np.zeros(shape, dtype=np.float64),
-            last_update_time_us=0,
-            config=config,
-            geometry=geometry,
-            last_event_t_us=np.zeros(shape, dtype=np.int64),
-        )
+        return cls(np.zeros(shape, np.float64), 0, config, np.zeros(shape, np.int64))
 
 
 # The rank loop stops once fewer than this many pixels still have events;

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evprep import IntensityConfig, Method
+from evprep import cli
 from evprep import events as events_module
 from evprep.cli import build_parser, main
 from evprep.formats import read_evt1, read_intf, write_evt1
@@ -579,6 +581,75 @@ def test_other_names_in_pgm_dir_allowed(named_files):
     assert sorted(path.name for path in Path("prev").iterdir()) == [
         "frame_00000.pgm", "frame_00001.pgm", "frame_00002.pgm", "frames.intf", "state.npz"
     ]
+
+
+def test_pgm_dir_parent_of_output_counts_as_present(named_files):
+    assert main(["intensity", "d.evt1", "-o", "a/x.intf", "--segments", "2",
+                 "--pgm-dir", "a/b"]) == 0
+    assert sorted(path.name for path in Path("a").iterdir()) == ["b", "x.intf"]
+    assert len(list(Path("a/b").iterdir())) == 2
+
+
+NO_DIR = "[Errno 2] No such file or directory"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["intensity", "d.evt1", "-o", "new.intf", "--segments", "3",
+                      "--save-state", "nodir/s.npz"], f"{NO_DIR}: 'nodir/s.npz'",
+                     id="intensity-save-state"),
+        pytest.param(["pretrain-toy", "s.scene", "--steps", "1", "-o", "nodir/curve.txt"],
+                     f"{NO_DIR}: 'nodir/curve.txt'", id="pretrain-toy-output"),
+        pytest.param(["pretrain-toy", "s.scene", "--steps", "1", "-o", "curve.txt",
+                      "--params", "nodir/p.bin"], f"{NO_DIR}: 'nodir/p.bin'",
+                     id="pretrain-toy-params"),
+        pytest.param(["report", "r.intf", "s.scene", "--report", "nodir/r.json"],
+                     f"{NO_DIR}: 'nodir/r.json'", id="report-json"),
+        pytest.param(["intensity", "d.evt1", "-o", "s.scene/r.intf"],
+                     "[Errno 20] Not a directory: 's.scene/r.intf'", id="directory-is-a-file"),
+    ],
+)
+def test_output_in_missing_directory_exit_2_before_work(named_files, capsys, monkeypatch,
+                                                        argv, message):
+    for name in ("iter_sequence", "train_toy", "read_intf"):  # the command's work
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: pytest.fail(f"{name} ran"))
+    before = {path: path.read_bytes() for path in Path(".").rglob("*")}
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"evprep: error: {message}\n"
+    assert out == ""
+    assert {path: path.read_bytes() for path in Path(".").rglob("*")} == before
+
+
+@pytest.mark.parametrize("link", ["symlink-to-input", "hard-link-to-input", "symlink-elsewhere"])
+def test_preview_replaces_a_link_of_its_name(named_files, link):
+    """A preview is made as a new file, so a link under its name keeps its target."""
+    assert main(["intensity", "d.evt1", "-o", "ref.intf", "--segments", "3",
+                 "--pgm-dir", "ref"]) == 0
+    Path("prev").mkdir()
+    Path("notes.txt").write_text("not a preview")
+    target = "notes.txt" if link == "symlink-elsewhere" else "d.evt1"
+    kept = Path(target).read_bytes()
+    if link.startswith("symlink"):
+        os.symlink(f"../{target}", "prev/frame_00000.pgm")
+    else:
+        os.link(target, "prev/frame_00000.pgm")
+    assert main(["intensity", "d.evt1", "-o", "r2.intf", "--segments", "3",
+                 "--pgm-dir", "prev"]) == 0
+    assert Path(target).read_bytes() == kept
+    preview = Path("prev/frame_00000.pgm")
+    assert preview.is_file() and not preview.is_symlink()
+    assert preview.read_bytes() == Path("ref/frame_00000.pgm").read_bytes()
+
+
+def test_estimator_defaults_are_the_configs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_intensity", lambda args: seen.append(args.int_config) or 0)
+    assert main(["intensity", "x", "-o", "y"]) == 0
+    assert seen == [IntensityConfig(Method.ADAPTIVE_BATCH, bin_duration_us=5000)]
 
 
 def test_save_state_updates_resume_in_place(named_files):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -437,3 +438,35 @@ def test_load_state_checks_arrays(tmp_path, name, value):
     np.savez(path, **arrays)
     with pytest.raises(FormatError, match=name):
         load_state(path)
+
+
+# sha256 of the bytes save_state writes for two fixed states, recorded with
+# this numpy: the members, their order and their dtypes are pinned
+STATE_NUMPY_VERSION = "2.4.6"
+STATE_DIGESTS = {
+    "decay": "802befa4f99a83bc41be01cb6a055f1c75f2a6465adff38702f872c2d1904f81",
+    "adaptive": "cd094cfea9a1ba68bd15e0bee12fff5021e620a057cef07d630cd8a71094f05c",
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != STATE_NUMPY_VERSION,
+    reason=f"state digests were recorded with numpy {STATE_NUMPY_VERSION}, this is {np.__version__}",
+)
+@pytest.mark.parametrize("method", ["decay", "adaptive"])
+def test_saved_state_bytes(tmp_path, method):
+    geo = SensorGeometry(3, 2)
+    if method == "decay":
+        state = IntensityState.initial(
+            geo, IntensityConfig(Method.PER_EVENT_DECAY, alpha_per_s=7.0, threshold=0.5))
+        state.frame[:] = np.arange(6).reshape(2, 3) * 0.25 - 0.5
+        state.last_event_t_us[:] = np.arange(6).reshape(2, 3) * 10
+        state.last_update_time_us = 100
+    else:
+        state = IntensityState.initial(geo, IntensityConfig(
+            Method.ADAPTIVE_BATCH, threshold=0.5, normalizer=300, bin_duration_us=2000))
+        state.frame[:] = np.arange(6).reshape(2, 3) * -1.5
+        state.last_update_time_us = 4000
+    path = tmp_path / "state.npz"
+    save_state(path, state)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STATE_DIGESTS[method]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -463,3 +464,11 @@ def test_decay_resume_from_column_major_state(scene):
     assert [f.tobytes() for f in resumed] == [f.tobytes() for f in single[2:]]
     assert state.frame.tobytes() == single_state.frame.tobytes()
     assert state.last_event_t_us.tobytes() == single_state.last_event_t_us.tobytes()
+
+
+def test_state_geometry_is_the_frames_shape():
+    # the frame is the one record of the state's size
+    assert "geometry" not in {f.name for f in dataclasses.fields(IntensityState)}
+    state = IntensityState.initial(SensorGeometry(5, 3), adaptive_cfg())
+    assert state.frame.shape == (3, 5)
+    assert state.geometry == SensorGeometry(5, 3)
