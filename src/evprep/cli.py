@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import re
 import sys
 from pathlib import Path
 
+# what `intensity` runs; each other command imports the rest it runs when it starts
 from evprep.errors import EvprepError, FormatError, GeometryError
 from evprep.events import SegmentConfig, SensorGeometry
 from evprep.formats import (
@@ -24,11 +24,6 @@ from evprep.formats import (
     write_pgm,
 )
 from evprep.intensity import IntensityConfig, Method, iter_sequence
-from evprep.losses import trail_energy
-from evprep.masking import PatchGrid
-from evprep.scenefile import load_scene
-from evprep.simulate import simulate_events, trail_region
-from evprep.toymodel import ToyModelConfig, serialize_params, train_toy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,6 +66,7 @@ _positive_float = _number(float, lambda v: v > 0, "a finite number > 0")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _number(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _number(float, lambda v: 0 <= v <= 1, "a finite number in [0, 1]")
+_PREVIEW = re.compile(r"frame_([0-9]{5}|[1-9][0-9]{5,})\.pgm")  # the segment's index - 1, as :05d
 
 
 def _geometry(text: str) -> SensorGeometry:
@@ -94,7 +90,7 @@ def _is_preview(path: str, pgm_dir: str) -> bool:
     """Whether the real path of ``path`` lies in ``pgm_dir`` under a name
     :func:`_with_previews` gives a preview."""
     head, name = os.path.split(os.path.realpath(path))
-    return head == os.path.realpath(pgm_dir) and bool(re.fullmatch(r"frame_[0-9]{5,}\.pgm", name))
+    return head == os.path.realpath(pgm_dir) and bool(_PREVIEW.fullmatch(name))
 
 
 def _flag_path(args, flag: str):
@@ -142,6 +138,9 @@ def _add_pipeline_flags(p):
 
 
 def cmd_simulate(args) -> int:
+    from evprep.scenefile import load_scene
+    from evprep.simulate import simulate_events
+
     scene, noise = load_scene(args.scene)
     if args.no_noise:
         noise = None
@@ -157,6 +156,15 @@ def _with_previews(stages, out_dir: Path):
     for segment, frame in stages:
         write_pgm(out_dir / f"frame_{segment.index - 1:05d}.pgm", frame)
         yield frame
+
+
+def _check_previews(out_dir: Path, indices: range) -> None:
+    """Raise the OSError of a directory under the preview name of a segment
+    in ``indices``, which writing that preview would find after -o is opened."""
+    blocked = [entry.name for entry in os.scandir(out_dir) if entry.is_dir(follow_symlinks=False)
+               and (name := _PREVIEW.fullmatch(entry.name)) and int(name[1]) + 1 in indices]
+    if blocked:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / min(blocked)))
 
 
 def cmd_intensity(args) -> int:
@@ -176,9 +184,15 @@ def cmd_intensity(args) -> int:
         num_segments=args.segments,
     )
     if args.pgm_dir:
-        # made before -o is opened: a --pgm-dir that cannot be a directory leaves -o alone
-        Path(args.pgm_dir).mkdir(parents=True, exist_ok=True)
-        frames = _with_previews(stages, Path(args.pgm_dir))
+        # made and checked before -o is opened: previews that cannot be written leave -o alone
+        out_dir = Path(args.pgm_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        T = seg_config.segment_duration_us
+        first = state.last_update_time_us // T + 1
+        # by default the run goes through the last event's segment, and holds at least one
+        last = int(events[len(events) - 1 :]["t"].max(initial=0)) // T + 1
+        _check_previews(out_dir, range(first, first + (args.segments or max(1, last + 1 - first))))
+        frames = _with_previews(stages, out_dir)
     else:
         frames = (frame for _, frame in stages)
     count = write_intf(args.output, frames, geometry)
@@ -189,6 +203,11 @@ def cmd_intensity(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import json
+    from evprep.losses import trail_energy
+    from evprep.scenefile import load_scene
+    from evprep.simulate import trail_region
+
     frames, geometry = read_intf(args.frames)
     scene, _ = load_scene(args.scene)
     if scene.geometry != geometry:
@@ -212,6 +231,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_pretrain_toy(args) -> int:
+    from evprep.masking import PatchGrid
+    from evprep.scenefile import load_scene
+    from evprep.simulate import simulate_events
+    from evprep.toymodel import ToyModelConfig, serialize_params, train_toy
+
     scene, noise = load_scene(args.scene)
     grid = PatchGrid(args.patch, scene.geometry.height, scene.geometry.width)
     if grid.masked_patches(args.ratio) == 0:

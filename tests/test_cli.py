@@ -190,7 +190,7 @@ def test_bad_flag_exit_1_other_commands(tmp_path, capsys, monkeypatch, command, 
     def no_simulation(*args):
         raise AssertionError("a usage error must be found before simulating")
 
-    monkeypatch.setattr("evprep.cli.simulate_events", no_simulation)
+    monkeypatch.setattr("evprep.simulate.simulate_events", no_simulation)
     out = tmp_path / "curve.txt"
     if command == "pretrain-toy":
         argv = [command, str(SCENES / "disc.scene"), "-o", str(out), "--steps", "1"]
@@ -612,8 +612,9 @@ NO_DIR = "[Errno 2] No such file or directory"
 )
 def test_output_in_missing_directory_exit_2_before_work(named_files, capsys, monkeypatch,
                                                         argv, message):
-    for name in ("iter_sequence", "train_toy", "read_intf"):  # the command's work
-        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: pytest.fail(f"{name} ran"))
+    for name in ("cli.iter_sequence", "toymodel.train_toy", "cli.read_intf"):  # the command's work
+        monkeypatch.setattr(f"evprep.{name}",
+                            lambda *a, name=name, **kw: pytest.fail(f"{name} ran"))
     before = {path: path.read_bytes() for path in Path(".").rglob("*")}
     capsys.readouterr()
     assert main(argv) == 2
@@ -642,6 +643,38 @@ def test_preview_replaces_a_link_of_its_name(named_files, link):
     preview = Path("prev/frame_00000.pgm")
     assert preview.is_file() and not preview.is_symlink()
     assert preview.read_bytes() == Path("ref/frame_00000.pgm").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        pytest.param("frame_00002.pgm", ["--segments", "3"], id="third-of-three"),
+        pytest.param("frame_00001.pgm", [], id="last-of-the-stream"),
+        pytest.param("frame_00002.pgm", ["--resume", "st.npz", "--segments", "1"], id="resumed"),
+    ],
+)
+def test_directory_under_a_preview_name_exit_2_before_output(named_files, capsys, name, flags):
+    Path("prev", name).mkdir(parents=True)
+    before = {path: path.read_bytes() for path in Path(".").rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert main(["intensity", "d.evt1", "-o", "r.intf", "--pgm-dir", "prev", *flags]) == 2
+    assert capsys.readouterr().err == f"evprep: error: [Errno 21] Is a directory: 'prev/{name}'\n"
+    assert {path: path.read_bytes() for path in Path(".").rglob("*") if path.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        pytest.param("frame_00003.pgm", ["--segments", "3"], id="after-the-last"),
+        pytest.param("frame_00002.pgm", [], id="after-the-stream"),
+        pytest.param("frame_00001.pgm", ["--resume", "st.npz", "--segments", "1"], id="before-resumed"),
+        pytest.param("frame_000001.pgm", ["--segments", "3"], id="not-a-preview-name"),
+    ],
+)
+def test_directory_under_another_name_in_pgm_dir_allowed(named_files, name, flags):
+    Path("prev", name).mkdir(parents=True)
+    assert main(["intensity", "d.evt1", "-o", "r.intf", "--pgm-dir", "prev", *flags]) == 0
+    assert Path("prev", name).is_dir()
 
 
 def test_estimator_defaults_are_the_configs(tmp_path, monkeypatch):

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# __init__.py imports names to re-export them
-MODULES = sorted(p for p in (ROOT / "src" / "evprep").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted((ROOT / "src" / "evprep").glob("*.py"))
 
 
 def unused_imports(tree: ast.AST) -> list[str]:
