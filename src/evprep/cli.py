@@ -117,16 +117,29 @@ def _clashing_output(args) -> str | None:
 
 
 def _check_output_dirs(args) -> None:
-    """Raise the OSError of an output whose directory is missing, unless
-    ``--pgm-dir``, which the command makes with its parents, lies in it."""
-    made = getattr(args, "pgm_dir", None)
-    made = made and Path(os.path.abspath(made))
+    """Raise the OSError of an output file that is not a regular file or a link to one,
+    or whose directory is missing, unless ``--pgm-dir``, which the command makes, lies in it."""
+    made = getattr(args, "pgm_dir", None) and Path(os.path.abspath(args.pgm_dir))
     for flag in args.writes:
         path = _flag_path(args, flag)
         head = path and Path(os.path.abspath(path)).parent
         if head and not (head.is_dir() or made and made.is_relative_to(head)):
             code = errno.ENOTDIR if head.exists() else errno.ENOENT
             raise OSError(code, os.strerror(code), path)
+        if path and flag != "--pgm-dir" and os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(f"{flag} {path!r} is not a regular file")
+
+
+def _stage(args, path) -> str:
+    """A new name beside ``path``, made unique by 64 random bits, for the command to
+    write in its place: ``main`` moves it to ``path`` on success. The command's writer
+    makes the file, so it gets the mode ``open`` gives any new file."""
+    if os.path.isdir(path) and not os.path.islink(path):  # os.replace would fail on it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    head = os.path.dirname(os.path.abspath(path))
+    temp = os.path.join(head, f".evprep-{os.urandom(8).hex()}.tmp")
+    args.staged.append((temp, path))
+    return temp
 
 
 def _add_pipeline_flags(p):
@@ -145,26 +158,18 @@ def cmd_simulate(args) -> int:
     if args.no_noise:
         noise = None
     events = simulate_events(scene, noise)
-    write_evt1(args.output, events, scene.geometry)
+    write_evt1(_stage(args, args.output), events, scene.geometry)
     print(f"wrote {events.shape[0]} events to {args.output}")
     return EXIT_OK
 
 
-def _with_previews(stages, out_dir: Path):
+def _with_previews(args, stages):
     """Pass the frames of ``stages`` through, writing each one's PGM preview
-    into ``out_dir``, named by its segment: a resumed run's follow a first run's."""
+    into ``--pgm-dir``, named by its segment: a resumed run's follow a first run's."""
     for segment, frame in stages:
-        write_pgm(out_dir / f"frame_{segment.index - 1:05d}.pgm", frame)
+        preview = os.path.join(args.pgm_dir, f"frame_{segment.index - 1:05d}.pgm")
+        write_pgm(_stage(args, preview), frame)
         yield frame
-
-
-def _check_previews(out_dir: Path, indices: range) -> None:
-    """Raise the OSError of a directory under the preview name of a segment
-    in ``indices``, which writing that preview would find after -o is opened."""
-    blocked = [entry.name for entry in os.scandir(out_dir) if entry.is_dir(follow_symlinks=False)
-               and (name := _PREVIEW.fullmatch(entry.name)) and int(name[1]) + 1 in indices]
-    if blocked:
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / min(blocked)))
 
 
 def cmd_intensity(args) -> int:
@@ -184,20 +189,13 @@ def cmd_intensity(args) -> int:
         num_segments=args.segments,
     )
     if args.pgm_dir:
-        # made and checked before -o is opened: previews that cannot be written leave -o alone
-        out_dir = Path(args.pgm_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        T = seg_config.segment_duration_us
-        first = state.last_update_time_us // T + 1
-        # by default the run goes through the last event's segment, and holds at least one
-        last = int(events[len(events) - 1 :]["t"].max(initial=0)) // T + 1
-        _check_previews(out_dir, range(first, first + (args.segments or max(1, last + 1 - first))))
-        frames = _with_previews(stages, out_dir)
+        os.makedirs(args.pgm_dir, exist_ok=True)
+        frames = _with_previews(args, stages)
     else:
         frames = (frame for _, frame in stages)
-    count = write_intf(args.output, frames, geometry)
+    count = write_intf(_stage(args, args.output), frames, geometry)
     if args.save_state:
-        save_state(args.save_state, state)
+        save_state(_stage(args, args.save_state), state)
     print(f"wrote {count} frames to {args.output}")
     return EXIT_OK
 
@@ -226,7 +224,7 @@ def cmd_report(args) -> int:
             "trail_pixels": int(region.sum()),
             "energies": energies,
         }
-        Path(args.report).write_text(json.dumps(payload, indent=2))
+        Path(_stage(args, args.report)).write_text(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -266,11 +264,11 @@ def cmd_pretrain_toy(args) -> int:
         num_segments,
         mask_ratio=args.ratio,
     )
-    with open(args.output, "w") as fh:
+    with open(_stage(args, args.output), "w") as fh:
         for i, loss in enumerate(curve):
             fh.write(f"{i} {loss:.9g}\n")
     if args.params:
-        Path(args.params).write_bytes(serialize_params(state))
+        Path(_stage(args, args.params)).write_bytes(serialize_params(state))
     print(f"trained {args.steps} steps: loss {curve[0]:.6g} -> {curve[-1]:.6g}")
     return EXIT_OK
 
@@ -341,12 +339,21 @@ def main(argv=None) -> int:
     clash = _clashing_output(args)
     if clash:
         parser.error(clash)
+    args.staged = []  # (temporary, final) pairs, moved into place on success
     try:
         _check_output_dirs(args)
-        return args.func(args)
+        code = args.func(args)
+        last = getattr(args, "output", None)
+        for temp, path in sorted(args.staged, key=lambda pair: pair[1] == last):  # -o last
+            os.replace(temp, path)
+        return code
     except (EvprepError, OSError, ValueError, MemoryError) as exc:
         print(f"evprep: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        for temp, _ in args.staged:
+            if os.path.lexists(temp):
+                os.remove(temp)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -182,14 +181,12 @@ def write_pgm(path, frame: np.ndarray) -> None:
     """8-bit binary PGM (P5) after per-frame affine rescale to [0, 255].
 
     Visualization only; loss computation always reads raw INTF values.
-    The file is made new, never opened through a link of that name.
     """
     lo, hi = float(frame.min()), float(frame.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     img = ((np.asarray(frame, np.float64) - lo) * scale).round().astype(np.uint8)
     h, w = img.shape
-    Path(path).unlink(missing_ok=True)
-    with open(path, "xb") as fh:
+    with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
 

@@ -12,7 +12,6 @@ from evprep import cli
 from evprep import events as events_module
 from evprep.cli import build_parser, main
 from evprep.formats import read_evt1, read_intf, write_evt1
-from evprep.errors import FormatError
 from evprep.events import make_events
 from evprep import SensorGeometry
 
@@ -381,27 +380,26 @@ def test_frame_beyond_float32_exit_2(tmp_path, capsys, method):
     assert capsys.readouterr().err == (
         "evprep: error: segment 2: a frame value is beyond float32's range\n"
     )
-    # the frame of segment 1 was written, but the header still holds its placeholder count
-    with pytest.raises(FormatError):
-        read_intf(out)
-    assert not state.exists()
+    # the frame of segment 1 was made, but no output moves into place, and none is left half-made
+    assert not out.exists() and not state.exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["events.txt"]
 
 
 @pytest.mark.parametrize("method", ["decay", "adaptive"])
-def test_frame_beyond_float32_in_first_segment_leaves_unreadable_intf(tmp_path, capsys, method):
-    # both events fall in segment 1, so no frame is written
+def test_frame_beyond_float32_in_first_segment_keeps_earlier_output(tmp_path, capsys, method):
+    # both events fall in segment 1, so no frame is made
     text = tmp_path / "two.txt"
     text.write_text("0 1 1 1\n1 1 1 1\n")
     out = tmp_path / "y.intf"
+    out.write_bytes(b"an earlier run's frames")
     argv = ["intensity", str(text), "--geometry", "4x4", "--method", method, "-o", str(out),
             "--threshold", "3e38"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "evprep: error: segment 1: a frame value is beyond float32's range\n"
     )
-    assert out.stat().st_size == 12
-    with pytest.raises(FormatError, match="payload holds 0 bytes"):
-        read_intf(out)
+    assert out.read_bytes() == b"an earlier run's frames"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["two.txt", "y.intf"]
 
 
 @pytest.mark.parametrize(
@@ -443,7 +441,9 @@ def test_intensity_unseekable_output_exit_2(evt1, tmp_path, capsys):
     finally:
         os.close(read_end)
         os.close(write_end)
-    assert "must be a seekable file" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"evprep: error: -o '/dev/fd/{write_end}' is not a regular file\n"
+    )
 
 
 @pytest.mark.parametrize("method", ["decay", "adaptive"])
@@ -624,25 +624,33 @@ def test_output_in_missing_directory_exit_2_before_work(named_files, capsys, mon
     assert {path: path.read_bytes() for path in Path(".").rglob("*")} == before
 
 
-@pytest.mark.parametrize("link", ["symlink-to-input", "hard-link-to-input", "symlink-elsewhere"])
-def test_preview_replaces_a_link_of_its_name(named_files, link):
-    """A preview is made as a new file, so a link under its name keeps its target."""
-    assert main(["intensity", "d.evt1", "-o", "ref.intf", "--segments", "3",
+@pytest.mark.parametrize(
+    "link, name",
+    [
+        pytest.param("symlink-to-input", "frame_00000.pgm", id="symlink-to-input"),
+        pytest.param("hard-link-to-input", "frame_00000.pgm", id="hard-link-to-input"),
+        pytest.param("symlink-elsewhere", "frame_00000.pgm", id="symlink-elsewhere"),
+        pytest.param("symlink-elsewhere", "out.intf", id="symlink-at-output"),
+    ],
+)
+def test_preview_replaces_a_link_of_its_name(named_files, link, name):
+    """A preview, or -o, is made as a new file, so a link under its name keeps its target."""
+    assert main(["intensity", "d.evt1", "-o", "ref/out.intf", "--segments", "3",
                  "--pgm-dir", "ref"]) == 0
     Path("prev").mkdir()
     Path("notes.txt").write_text("not a preview")
     target = "notes.txt" if link == "symlink-elsewhere" else "d.evt1"
     kept = Path(target).read_bytes()
     if link.startswith("symlink"):
-        os.symlink(f"../{target}", "prev/frame_00000.pgm")
+        os.symlink(f"../{target}", f"prev/{name}")
     else:
-        os.link(target, "prev/frame_00000.pgm")
-    assert main(["intensity", "d.evt1", "-o", "r2.intf", "--segments", "3",
+        os.link(target, f"prev/{name}")
+    assert main(["intensity", "d.evt1", "-o", "prev/out.intf", "--segments", "3",
                  "--pgm-dir", "prev"]) == 0
     assert Path(target).read_bytes() == kept
-    preview = Path("prev/frame_00000.pgm")
-    assert preview.is_file() and not preview.is_symlink()
-    assert preview.read_bytes() == Path("ref/frame_00000.pgm").read_bytes()
+    written = Path("prev", name)
+    assert written.is_file() and not written.is_symlink()
+    assert written.read_bytes() == Path("ref", name).read_bytes()
 
 
 @pytest.mark.parametrize(
