@@ -6,7 +6,6 @@ import argparse
 import errno
 import math
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -66,7 +65,6 @@ _positive_float = _number(float, lambda v: v > 0, "a finite number > 0")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _number(int, lambda v: v >= 0, "an integer >= 0")
 _fraction = _number(float, lambda v: 0 <= v <= 1, "a finite number in [0, 1]")
-_PREVIEW = re.compile(r"frame_([0-9]{5}|[1-9][0-9]{5,})\.pgm")  # the segment's index - 1, as :05d
 
 
 def _geometry(text: str) -> SensorGeometry:
@@ -86,11 +84,18 @@ def _same_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _preview_name(k: int) -> str:
+    """The name of the preview of the segment with index ``k + 1``."""
+    return f"frame_{k:05d}.pgm"
+
+
 def _is_preview(path: str, pgm_dir: str) -> bool:
     """Whether the real path of ``path`` lies in ``pgm_dir`` under a name
-    :func:`_with_previews` gives a preview."""
+    :func:`_preview_name` gives."""
     head, name = os.path.split(os.path.realpath(path))
-    return head == os.path.realpath(pgm_dir) and bool(_PREVIEW.fullmatch(name))
+    digits = name.removeprefix("frame_").removesuffix(".pgm")
+    return (head == os.path.realpath(pgm_dir) and digits.isascii() and digits.isdigit()
+            and _preview_name(int(digits)) == name)
 
 
 def _flag_path(args, flag: str):
@@ -167,7 +172,7 @@ def _with_previews(args, stages):
     """Pass the frames of ``stages`` through, writing each one's PGM preview
     into ``--pgm-dir``, named by its segment: a resumed run's follow a first run's."""
     for segment, frame in stages:
-        preview = os.path.join(args.pgm_dir, f"frame_{segment.index - 1:05d}.pgm")
+        preview = os.path.join(args.pgm_dir, _preview_name(segment.index - 1))
         write_pgm(_stage(args, preview), frame)
         yield frame
 

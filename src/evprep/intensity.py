@@ -92,13 +92,11 @@ class IntensityState:
 
 # The rank loop stops once fewer than this many pixels still have events;
 # each of those pixels then finishes its own events in a scalar loop. On a
-# 2-vCPU Xeon (numpy 2.4, CPython 3.11), 200 000 events on one pixel took
-# 1.46 s as rank steps and 0.04 s as a scalar loop. A rank step (gathers,
-# a multiply, an add and a scatter on the active pixels) took 8 us on 8 to
-# 16 pixels and 20 us on 128; a scalar event took 140 to 180 ns. On
-# hot-pixel streams, where few pixels pass rank 1, any value from 16 to 128
-# gave the same time within noise.
-_MIN_ACTIVE_PIXELS = 32
+# 2-vCPU Xeon (numpy 2.4, CPython 3.11), on P pixels of 1000 events each, a
+# rank step (gathers, a multiply, an add and a scatter) took 5.4 us at
+# P = 40, 5.6 us at 64 and 6.8 us at 96, and a scalar event 89 to 99 ns:
+# they break even at 64. On hot-pixel streams 32 and 64 gave the same time.
+_MIN_ACTIVE_PIXELS = 64
 
 
 def _per_event_decay_fill(state: IntensityState, events: np.ndarray) -> None:
@@ -193,52 +191,51 @@ def update_adaptive_batch(
     return state
 
 
-# A bin with at least H*W / 16 events takes its signed counts from one
-# bincount over the whole frame; a sparser one finds its own pixels through
-# the slot scratch first. On a 2-vCPU Xeon (numpy 2.4, CPython 3.11), one
-# 640x480 bin of uniform events took, slot against whole-frame bincount:
-# 98 against 384 us at 2k events, 223 against 421 us at 10k, 393 against
-# 420 us at 19.2k (H*W/16) and 645 against 447 us at 30k.
+# A bin of at least H*W / 16 events adds acc to the whole frame, a sparser
+# one to its own pixels. On a 2-vCPU Xeon (numpy 2.4, CPython 3.11), one
+# 640x480 bin of uniform events took, sparse against dense, 185 against 266
+# us at 12k events, 302 against 303 at 17k, 346 against 319 at 19.2k and
+# 473 against 375 at 24k; at a threshold other than +-1 they tie near 24k.
 _DENSE_BIN_EVENTS = 16
 
 
 def _update_adaptive_segment(
-    state: IntensityState, segment: EventSegment, config: SegmentConfig
+    state: IntensityState, segment: EventSegment, config: SegmentConfig, acc: np.ndarray
 ) -> None:
     """Apply every bin of one segment under the batch rule, in place.
 
     Bin tau is the slice of events between ``bin_edges`` tau and tau+1, as
-    in ``build_histogram``. A non-silent bin decays the whole frame and adds
-    its exact signed counts, one bincount over every pixel for a dense bin
-    (``_DENSE_BIN_EVENTS``), else over ``slot`` to its own pixels only. The
-    pixels a sparse bin skips would get ``0.0 * threshold``: that changes
-    only a -0.0, the same way at any later point, so it is added once per
-    segment instead.
+    in ``build_histogram``. A non-silent bin sums its polarities per pixel
+    into ``acc``, the run's flat frame-sized scratch, all +0.0 between bins,
+    where sums of +-1 are exact in any order. It decays the whole frame, adds
+    ``acc`` times the threshold to every pixel (a dense bin) or to its own
+    pixels, and zeroes those of ``acc``. The pixels a sparse bin skips would
+    get ``0.0 * threshold``: that changes only a -0.0, the same way at any
+    later point, so it is added once per segment instead.
     """
     events, cfg = segment.events, state.config
     state.frame = np.ascontiguousarray(state.frame)
     flat = state.frame.reshape(-1)  # a view, as frame is C-contiguous
     edges = bin_edges(segment, config).tolist()
     pix = events["y"].astype(np.intp) * state.geometry.width + events["x"]
-    p, slot = events["p"], None
+    p = events["p"].astype(np.float64)  # np.add.at is ~15x slower on int8
+    # c * threshold is -(c * |threshold|) and f + -y is f - y, bit for bit, so
+    # acc is scaled by a factor >= +0.0 that keeps its zeros +0.0
+    scale = abs(cfg.threshold)
+    add = np.subtract if math.copysign(1.0, cfg.threshold) < 0 else np.add
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi == lo:
             continue
-        b, u, size = pix[lo:hi], slice(None), flat.shape[0]  # a dense bin adds to every pixel
-        if _DENSE_BIN_EVENTS * (hi - lo) < flat.shape[0]:
-            if slot is None:
-                slot = np.empty(flat.shape[0], dtype=np.intp)  # each bin writes what it reads
-            index = np.arange(hi - lo)
-            slot[b] = index
-            u = b[slot[b] == index]  # one event per pixel: the write that landed
-            size = u.shape[0]
-            slot[u] = np.arange(size)
-            b = slot[b]
-        w = np.bincount(b, weights=p[lo:hi], minlength=size)
-        if cfg.threshold != 1.0:  # w holds whole counts, which a factor of 1.0 keeps bit for bit
-            w *= cfg.threshold
+        b = pix[lo:hi]
+        np.add.at(acc, b, p[lo:hi])
         np.multiply(state.frame, _adaptive_decay(cfg, hi - lo), out=state.frame)
-        flat[u] += w
+        if _DENSE_BIN_EVENTS * (hi - lo) >= flat.shape[0]:
+            if scale != 1.0:  # acc holds whole counts, which a factor of 1.0 keeps bit for bit
+                acc *= scale
+            add(flat, acc, out=flat)
+        else:  # every duplicate of a pixel writes its one sum
+            flat[b] = add(flat[b], acc[b] * scale)
+        acc[b] = 0.0
     if events.shape[0]:  # every event lies in a bin
         np.add(state.frame, 0.0 * cfg.threshold, out=state.frame)
 
@@ -275,12 +272,9 @@ def iter_sequence(
         state = resume
     else:
         state = IntensityState.initial(geometry, int_config)
-    if int_config.method is Method.ADAPTIVE_BATCH and (
-        int_config.bin_duration_us != seg_config.bin_duration_us
-    ):
-        raise ValueError(
-            "adaptive bin duration must equal the segment config's T/B"
-        )
+    adaptive = int_config.method is Method.ADAPTIVE_BATCH
+    if adaptive and int_config.bin_duration_us != seg_config.bin_duration_us:
+        raise ValueError("adaptive bin duration must equal the segment config's T/B")
     T = seg_config.segment_duration_us
     if state.last_update_time_us % T:
         raise ValueError(
@@ -291,14 +285,14 @@ def iter_sequence(
     segments, _ = iter_segments(events, geometry, seg_config, num_segments, first_index)
 
     def stages():
+        acc = np.zeros(state.frame.size) if adaptive else None  # the adaptive bins' sums
         for seg in segments:
-            if int_config.method is Method.PER_EVENT_DECAY:
+            if adaptive:
+                _update_adaptive_segment(state, seg, seg_config, acc)
+            elif seg.num_events:
                 # iter_segments has validated the stream, and each segment
                 # starts at or after the clock
-                if seg.num_events:
-                    _per_event_decay_fill(state, seg.events)
-            else:
-                _update_adaptive_segment(state, seg, seg_config)
+                _per_event_decay_fill(state, seg.events)
             state.last_update_time_us = seg.index * T
             try:
                 with np.errstate(over="raise"):

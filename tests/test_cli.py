@@ -583,6 +583,31 @@ def test_other_names_in_pgm_dir_allowed(named_files):
     ]
 
 
+@pytest.mark.parametrize(
+    "name, preview",
+    [
+        pytest.param("frame_100000.pgm", True, id="six-digits"),
+        pytest.param("frame_000001.pgm", False, id="six-digits-leading-zero"),
+        pytest.param("frame_1.pgm", False, id="one-digit"),
+        pytest.param("frame_.pgm", False, id="no-digits"),
+        # int() reads these decimal digits, which a preview's name never holds
+        pytest.param("frame_\u0660\u0660\u0660\u0660\u0661.pgm", False, id="arabic-indic-digits"),
+        # str.isdigit() holds for these, but int() rejects them
+        pytest.param("frame_\u00b9\u00b2\u00b3\u2074\u2075.pgm", False, id="superscript-digits"),
+    ],
+)
+def test_preview_names(named_files, capsys, name, preview):
+    """-o in --pgm-dir is a usage error only under a name a preview gets."""
+    argv = ["intensity", "d.evt1", "-o", f"prev/{name}", "--segments", "1", "--pgm-dir", "prev"]
+    if not preview:
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"would write a preview over -o 'prev/{name}'" in capsys.readouterr().err
+
+
 def test_pgm_dir_parent_of_output_counts_as_present(named_files):
     assert main(["intensity", "d.evt1", "-o", "a/x.intf", "--segments", "2",
                  "--pgm-dir", "a/b"]) == 0

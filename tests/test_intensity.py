@@ -376,8 +376,8 @@ def adaptive_runs(draw):
         0,
     )
 )
-# on 40 pixels bin 0's 3 events are dense (16 * 3 >= 40) and take the
-# whole-frame bincount; bin 1's 2 events, both on pixel 5, take the slot path
+# on 40 pixels bin 0's 3 events are dense (16 * 3 >= 40) and add to the
+# whole frame; bin 1's 2 events, both on pixel 5, are sparse and add to it alone
 @example(
     (
         make_events([1, 2, 3, 6, 7], [0, 5, 5, 5, 5], [0, 0, 0, 0, 0], [1, -1, -1, 1, 1]),
@@ -389,13 +389,91 @@ def adaptive_runs(draw):
     )
 )
 # a threshold of exactly 1.0 adds the bins' counts unscaled: bin 0's 3
-# events are dense on 40 pixels, bin 1's 2 events take the slot path
+# events are dense on 40 pixels, bin 1's 2 events sparse
 @example(
     (
         make_events([1, 2, 3, 6, 7], [0, 5, 5, 5, 9], [0, 0, 0, 0, 0], [1, -1, -1, 1, -1]),
         SensorGeometry(40, 1),
         SegmentConfig(10, 2),
         adaptive_cfg(alpha_per_s=1e5, threshold=1.0, normalizer=3, bin_duration_us=5),
+        2,
+        1,
+    )
+)
+# a sparse bin whose +1 and -1 cancel on pixel 5, which bin 1's decay of 0
+# has left at -0.0: the zero sum times -1.5 keeps it -0.0
+@example(
+    (
+        make_events([1, 6, 7], [5, 5, 5], [0, 0, 0], [1, 1, -1]),
+        SensorGeometry(40, 1),
+        SegmentConfig(10, 2),
+        adaptive_cfg(alpha_per_s=1e12, threshold=-1.5, normalizer=1, bin_duration_us=5),
+        1,
+        0,
+    )
+)
+# on 64 pixels a bin of H*W/16 = 4 events is dense and one of 3 sparse:
+# segment 1 runs dense then sparse, segment 2 sparse then dense
+@example(
+    (
+        make_events(
+            [1, 2, 3, 4, 6, 7, 8, 11, 12, 13, 16, 17, 18, 19],
+            [0, 3, 3, 31, 3, 0, 0, 3, 3, 31, 0, 0, 3, 5],
+            [0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0],
+            [-1, 1, 1, -1, -1, -1, 1, 1, 1, -1, -1, -1, 1, 1],
+        ),
+        SensorGeometry(32, 2),
+        SegmentConfig(10, 2),
+        adaptive_cfg(alpha_per_s=1e5, threshold=0.7, normalizer=3, bin_duration_us=5),
+        2,
+        0,
+    )
+)
+# three consecutive sparse bins on pixels 3 and 7: each bin adds its own
+# sums only, not an earlier bin's
+@example(
+    (
+        make_events([1, 2, 6, 7, 11, 12], [3, 7, 3, 7, 3, 7], [0] * 6, [1, -1, 1, 1, -1, -1]),
+        SensorGeometry(40, 1),
+        SegmentConfig(15, 3),
+        adaptive_cfg(alpha_per_s=1e5, threshold=1.0, normalizer=3, bin_duration_us=5),
+        1,
+        0,
+    )
+)
+# a threshold of -0.0 adds a signed zero for every count, through a dense
+# bin (3 events on 40 pixels) and a sparse one (2 events)
+@example(
+    (
+        make_events([1, 1, 1, 6, 7], [0, 1, 2, 1, 1], [0] * 5, [-1, 1, -1, 1, 1]),
+        SensorGeometry(40, 1),
+        SegmentConfig(10, 2),
+        adaptive_cfg(alpha_per_s=1e12, threshold=-0.0, normalizer=1, bin_duration_us=5),
+        1,
+        0,
+    )
+)
+# two dense bins in a row with a negative threshold: both add a -0.0 to
+# pixel 9, which bin 0 sets to -1.5 and bin 1's decay of 0 makes -0.0
+@example(
+    (
+        make_events([1, 6, 6, 6, 11, 11, 11], [9, 0, 1, 2, 0, 1, 2], [0] * 7, [1] * 7),
+        SensorGeometry(40, 1),
+        SegmentConfig(15, 3),
+        adaptive_cfg(alpha_per_s=1e12, threshold=-1.5, normalizer=1, bin_duration_us=5),
+        1,
+        0,
+    )
+)
+# segment 1 saves pixels 2 and 3 at -0.0 and pixel 9 at -1.5; the resumed
+# run's sparse bin cancels on pixel 2 and skips pixel 3, and its decay of 0
+# makes pixel 9 -0.0
+@example(
+    (
+        make_events([1, 1, 6, 11, 12], [2, 3, 9, 2, 2], [0] * 5, [1, 1, 1, 1, -1]),
+        SensorGeometry(40, 1),
+        SegmentConfig(10, 2),
+        adaptive_cfg(alpha_per_s=1e12, threshold=-1.5, normalizer=1, bin_duration_us=5),
         2,
         1,
     )

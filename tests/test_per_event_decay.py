@@ -276,19 +276,19 @@ def check_bytes_match_rank_loop(geo, events, frame0, last0, t0, alpha, threshold
     assert state.last_event_t_us.tobytes() == ref.last_event_t_us.tobytes()
 
 
-@pytest.mark.parametrize("repeated", [0, 31, 32])
+@pytest.mark.parametrize("repeated", [0, 63, 64])
 @pytest.mark.parametrize("alpha, threshold", [(5.0, 1.0), (150.0, -2.5)])
 def test_rank_boundaries(repeated, alpha, threshold):
-    # 64 pixels, one event each except `repeated` of them, so that exactly
+    # 128 pixels, one event each except `repeated` of them, so that exactly
     # that many pixels are still active at rank 1: none (rank 0 only), one
     # short of the rank step (straight to the per-pixel loops) and exactly
     # enough for one; three of them run on to rank 5
-    geo = SensorGeometry(8, 8)
+    geo = SensorGeometry(16, 8)
     rng = np.random.default_rng(repeated)
-    counts = np.ones(64, dtype=np.intp)
+    counts = np.ones(128, dtype=np.intp)
     counts[:repeated] = 2
     counts[:min(repeated, 3)] = 6
-    pix = rng.permutation(np.repeat(rng.permutation(64), counts))
+    pix = rng.permutation(np.repeat(rng.permutation(128), counts))
     events, frame0, last0, t0 = with_prior_state(geo, pix, rng)
     assert np.count_nonzero(np.bincount(pix) > 1) == repeated
     check_bytes_match_rank_loop(geo, events, frame0, last0, t0, alpha, threshold)
