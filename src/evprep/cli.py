@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import math
 import os
@@ -122,13 +123,18 @@ def _clashing_output(args) -> str | None:
 
 
 def _check_output_dirs(args) -> None:
-    """Raise the OSError of an output file that is not a regular file or a link to one,
-    or whose directory is missing, unless ``--pgm-dir``, which the command makes, lies in it."""
-    made = getattr(args, "pgm_dir", None) and Path(os.path.abspath(args.pgm_dir))
+    """Make ``--pgm-dir``, each directory made listed in ``args.made``, deepest first. Raise
+    the OSError of an output that is not a regular file or a link to one, or has no directory."""
+    pgm_dir = head = getattr(args, "pgm_dir", None)
+    while head and not os.path.lexists(head):
+        args.made.append(head)
+        head = os.path.dirname(head)
+    if pgm_dir:
+        os.makedirs(pgm_dir, exist_ok=True)
     for flag in args.writes:
         path = _flag_path(args, flag)
         head = path and Path(os.path.abspath(path)).parent
-        if head and not (head.is_dir() or made and made.is_relative_to(head)):
+        if head and not head.is_dir():
             code = errno.ENOTDIR if head.exists() else errno.ENOENT
             raise OSError(code, os.strerror(code), path)
         if path and flag != "--pgm-dir" and os.path.exists(path) and not os.path.isfile(path):
@@ -193,11 +199,7 @@ def cmd_intensity(args) -> int:
         resume=resume,
         num_segments=args.segments,
     )
-    if args.pgm_dir:
-        os.makedirs(args.pgm_dir, exist_ok=True)
-        frames = _with_previews(args, stages)
-    else:
-        frames = (frame for _, frame in stages)
+    frames = _with_previews(args, stages) if args.pgm_dir else (frame for _, frame in stages)
     count = write_intf(_stage(args, args.output), frames, geometry)
     if args.save_state:
         save_state(_stage(args, args.save_state), state)
@@ -344,7 +346,7 @@ def main(argv=None) -> int:
     clash = _clashing_output(args)
     if clash:
         parser.error(clash)
-    args.staged = []  # (temporary, final) pairs, moved into place on success
+    args.staged, args.made = [], []  # (temporary, final) pairs moved on success; dirs made
     try:
         _check_output_dirs(args)
         code = args.func(args)
@@ -359,6 +361,9 @@ def main(argv=None) -> int:
         for temp, _ in args.staged:
             if os.path.lexists(temp):
                 os.remove(temp)
+        for path in args.made:  # os.rmdir keeps one that holds anything, as all do on success
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
 
 
 if __name__ == "__main__":

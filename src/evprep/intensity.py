@@ -53,10 +53,8 @@ class IntensityConfig:
     def __post_init__(self):
         if not math.isfinite(self.alpha_per_s) or self.alpha_per_s < 0:
             raise ValueError("alpha must be finite and >= 0")
-        if not math.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
-        if abs(self.threshold) > FRAME_MAX:
-            raise ValueError(f"|threshold| must be at most float32's maximum, {FRAME_MAX:.8g}")
+        if not 0 < self.threshold <= FRAME_MAX:
+            raise ValueError(f"threshold must be finite, > 0 and <= float32's max {FRAME_MAX:.8g}")
         if self.normalizer <= 0:
             raise ValueError("normalizer must be positive")
         if self.normalizer >= 2**63:
@@ -195,7 +193,7 @@ def update_adaptive_batch(
 # one to its own pixels. On a 2-vCPU Xeon (numpy 2.4, CPython 3.11), one
 # 640x480 bin of uniform events took, sparse against dense, 185 against 266
 # us at 12k events, 302 against 303 at 17k, 346 against 319 at 19.2k and
-# 473 against 375 at 24k; at a threshold other than +-1 they tie near 24k.
+# 473 against 375 at 24k; at a threshold other than 1 they tie near 24k.
 _DENSE_BIN_EVENTS = 16
 
 
@@ -210,8 +208,8 @@ def _update_adaptive_segment(
     where sums of +-1 are exact in any order. It decays the whole frame, adds
     ``acc`` times the threshold to every pixel (a dense bin) or to its own
     pixels, and zeroes those of ``acc``. The pixels a sparse bin skips would
-    get ``0.0 * threshold``: that changes only a -0.0, the same way at any
-    later point, so it is added once per segment instead.
+    get +0.0: that changes only a -0.0, the same way at any later point, so
+    it is added once per segment instead.
     """
     events, cfg = segment.events, state.config
     state.frame = np.ascontiguousarray(state.frame)
@@ -219,10 +217,6 @@ def _update_adaptive_segment(
     edges = bin_edges(segment, config).tolist()
     pix = events["y"].astype(np.intp) * state.geometry.width + events["x"]
     p = events["p"].astype(np.float64)  # np.add.at is ~15x slower on int8
-    # c * threshold is -(c * |threshold|) and f + -y is f - y, bit for bit, so
-    # acc is scaled by a factor >= +0.0 that keeps its zeros +0.0
-    scale = abs(cfg.threshold)
-    add = np.subtract if math.copysign(1.0, cfg.threshold) < 0 else np.add
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi == lo:
             continue
@@ -230,14 +224,14 @@ def _update_adaptive_segment(
         np.add.at(acc, b, p[lo:hi])
         np.multiply(state.frame, _adaptive_decay(cfg, hi - lo), out=state.frame)
         if _DENSE_BIN_EVENTS * (hi - lo) >= flat.shape[0]:
-            if scale != 1.0:  # acc holds whole counts, which a factor of 1.0 keeps bit for bit
-                acc *= scale
-            add(flat, acc, out=flat)
+            if cfg.threshold != 1.0:  # acc holds whole counts, which 1.0 keeps bit for bit
+                acc *= cfg.threshold
+            np.add(flat, acc, out=flat)
         else:  # every duplicate of a pixel writes its one sum
-            flat[b] = add(flat[b], acc[b] * scale)
+            flat[b] = np.add(flat[b], acc[b] * cfg.threshold)
         acc[b] = 0.0
     if events.shape[0]:  # every event lies in a bin
-        np.add(state.frame, 0.0 * cfg.threshold, out=state.frame)
+        np.add(state.frame, 0.0, out=state.frame)
 
 
 def iter_sequence(

@@ -128,6 +128,9 @@ def test_usage_error_exit_1(capsys):
         ("--threshold", "-inf"),
         # float32 frames cannot hold one event's step
         ("--threshold", "1e300"),
+        ("--threshold", "0"),
+        ("--threshold", "-0"),
+        ("--threshold", "-1.5"),
         ("--bins", "0"),
         ("--segments", "0"),
         ("--segments", "-3"),
@@ -169,6 +172,7 @@ def test_bad_numeric_flag_exit_1(evt1, tmp_path, capsys, flag, value):
         ("pretrain-toy", "--bins", "3"),
         ("pretrain-toy", "--normalizer", "0"),
         ("pretrain-toy", "--alpha", "-1"),
+        ("pretrain-toy", "--threshold", "0"),
         ("pretrain-toy", "--patch", "0"),
         ("pretrain-toy", "--ratio", "1.5"),
         ("pretrain-toy", "--ratio", "nan"),
@@ -741,14 +745,19 @@ def test_resume_from_state_path_without_suffix(evt1, tmp_path, method):
     assert split == run("single", "--segments", "7")
 
 
-def test_negative_exponent_value_parses(evt1, tmp_path):
-    """``--threshold -1e3`` is the value -1e3, as ``--threshold=-1e3`` is."""
-    outputs = []
-    for name, flags in (("spaced", ["--threshold", "-1e3"]), ("joined", ["--threshold=-1e3"])):
-        out = tmp_path / f"{name}.intf"
-        assert main(["intensity", str(evt1), "-o", str(out), "--segments", "2", *flags]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+def test_negative_exponent_value_parses(evt1, tmp_path, capsys):
+    """``--threshold -1e3`` is the value -1e3, as ``--threshold=-1e3`` is:
+    both reach the range check."""
+    errors = []
+    for flags in (["--threshold", "-1e3"], ["--threshold=-1e3"]):
+        out = tmp_path / "frames.intf"
+        with pytest.raises(SystemExit) as exc:
+            main(["intensity", str(evt1), "-o", str(out), *flags])
+        assert exc.value.code == 1 and not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "--threshold -1000 " in errors[0] and "threshold must be finite, > 0" in errors[0]
+    assert "expected one argument" not in errors[0]
 
 
 @pytest.mark.parametrize(
@@ -961,9 +970,12 @@ def test_pretrain_toy_diverged_exit_2(tmp_path, capsys):
         ("decay", "last_event_t_us", np.full((8, 8), 10**12, dtype=np.int64)),
         ("decay", "last_event_t_us", np.full((8, 8), -1, dtype=np.int64)),
         ("decay", "last_update_time_us", np.int64(-50_000)),
-        # values no run can save: a frame step beyond float32, a normalizer past int64
+        # values no run can save: a frame step beyond float32 or not above 0, a normalizer
+        # past int64
         ("decay", "threshold", np.float64(1e300)),
         ("adaptive", "normalizer", np.uint64(2**63)),
+        ("decay", "threshold", np.float64(-1.5)),
+        ("adaptive", "threshold", np.float64(0.0)),
         ("decay", "last_event_t_us", None),  # only an adaptive state may omit it
     ],
 )

@@ -92,14 +92,20 @@ def test_non_finite_config_rejected(kw):
         decay_cfg(**kw)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.0, -1.5, -math.inf, math.nan, math.inf, 3.5e38])
+def test_threshold_outside_float32_positive_range_rejected(threshold):
+    with pytest.raises(ValueError, match=r"^threshold must be finite, > 0 and <= float32's max"):
+        decay_cfg(threshold=threshold)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         pytest.param(lambda: decay_cfg(normalizer=0), "normalizer must be positive", id="normalizer"),
         pytest.param(lambda: decay_cfg(normalizer=2**63), "normalizer must be below 2**63",
                      id="normalizer-int64"),
-        pytest.param(lambda: decay_cfg(threshold=-3.5e38),
-                     "|threshold| must be at most float32's maximum, 3.4028235e+38",
+        pytest.param(lambda: decay_cfg(threshold=3.5e38),
+                     "threshold must be finite, > 0 and <= float32's max 3.4028235e+38",
                      id="threshold-float32"),
         pytest.param(
             lambda: decay_cfg(bin_duration_us=0), "bin duration must be positive", id="bin-duration"
@@ -328,7 +334,10 @@ def adaptive_oracle(events, geo, seg, cfg, num_segments):
 def adaptive_runs(draw):
     """A sorted stream on a small sensor with adaptive settings, a segment
     count and the number of segments run before a resume (0: one run)."""
-    geo = SensorGeometry(draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    # a bin is sparse below H*W / 16 events: on sensors up to 1000 pixels
+    # wide, bins of many events are, and most events fall on a few columns
+    geo = SensorGeometry(draw(st.one_of(st.integers(1, 5), st.integers(17, 1000))),
+                         draw(st.integers(1, 4)))
     bins = draw(st.integers(1, 4))
     bin_us = draw(st.integers(1, 6))
     seg = SegmentConfig(bins * bin_us, bins)
@@ -339,21 +348,22 @@ def adaptive_runs(draw):
         st.integers(0, span), st.integers(0, span // bin_us).map(lambda k: k * bin_us)
     )
     n = draw(st.integers(0, 60))
+    columns = draw(st.lists(st.integers(0, geo.width - 1), min_size=1, max_size=3))
     events = make_events(
         sorted(draw(st.lists(times, min_size=n, max_size=n))),
-        draw(st.lists(st.integers(0, geo.width - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.one_of(st.sampled_from(columns), st.integers(0, geo.width - 1)),
+                      min_size=n, max_size=n)),
         draw(st.lists(st.integers(0, geo.height - 1), min_size=n, max_size=n)),
         draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
     )
     # alpha up to 1e12 lets a bin's decay underflow to exactly 0, which
-    # leaves -0.0 on negative pixels; signed-zero and subnormal thresholds
-    # decide whether the bin's zero adds turn it into +0.0
+    # leaves -0.0 on negative pixels until a zero add turns it into +0.0;
+    # a subnormal threshold scales counts to subnormal steps
     cfg = IntensityConfig(
         Method.ADAPTIVE_BATCH,
         alpha_per_s=draw(st.one_of(st.floats(0.0, 1e5), st.floats(1e8, 1e12))),
-        threshold=draw(
-            st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1e-320, -1e-320]))
-        ),
+        threshold=draw(st.one_of(st.floats(0.0, 10.0, exclude_min=True),
+                                 st.sampled_from([1.0, 1e-320]))),
         normalizer=draw(st.integers(1, 50)),
         bin_duration_us=bin_us,
     )
@@ -365,7 +375,7 @@ def adaptive_runs(draw):
 
 @given(adaptive_runs())
 # bin 1's decay underflows to 0, leaving -0.0 on pixel (0, 0), which has no
-# event there; only the zero add of a positive threshold makes it +0.0
+# event there; the zero add makes it +0.0
 @example(
     (
         make_events([1, 6], [0, 1], [0, 0], [-1, 1]),
@@ -383,7 +393,7 @@ def adaptive_runs(draw):
         make_events([1, 2, 3, 6, 7], [0, 5, 5, 5, 5], [0, 0, 0, 0, 0], [1, -1, -1, 1, 1]),
         SensorGeometry(40, 1),
         SegmentConfig(10, 2),
-        adaptive_cfg(alpha_per_s=1e5, threshold=-1.5, normalizer=3, bin_duration_us=5),
+        adaptive_cfg(alpha_per_s=1e5, threshold=1.5, normalizer=3, bin_duration_us=5),
         1,
         0,
     )
@@ -401,13 +411,13 @@ def adaptive_runs(draw):
     )
 )
 # a sparse bin whose +1 and -1 cancel on pixel 5, which bin 1's decay of 0
-# has left at -0.0: the zero sum times -1.5 keeps it -0.0
+# has left at -0.0: the zero sum times 1.5 makes it +0.0
 @example(
     (
-        make_events([1, 6, 7], [5, 5, 5], [0, 0, 0], [1, 1, -1]),
+        make_events([1, 6, 7], [5, 5, 5], [0, 0, 0], [-1, 1, -1]),
         SensorGeometry(40, 1),
         SegmentConfig(10, 2),
-        adaptive_cfg(alpha_per_s=1e12, threshold=-1.5, normalizer=1, bin_duration_us=5),
+        adaptive_cfg(alpha_per_s=1e12, threshold=1.5, normalizer=1, bin_duration_us=5),
         1,
         0,
     )
@@ -441,39 +451,27 @@ def adaptive_runs(draw):
         0,
     )
 )
-# a threshold of -0.0 adds a signed zero for every count, through a dense
-# bin (3 events on 40 pixels) and a sparse one (2 events)
+# two dense bins in a row: both add +0.0 to pixel 9, which bin 0 sets to
+# -1.5 and bin 1's decay of 0 makes -0.0, and bin 2 adds only its own counts
 @example(
     (
-        make_events([1, 1, 1, 6, 7], [0, 1, 2, 1, 1], [0] * 5, [-1, 1, -1, 1, 1]),
-        SensorGeometry(40, 1),
-        SegmentConfig(10, 2),
-        adaptive_cfg(alpha_per_s=1e12, threshold=-0.0, normalizer=1, bin_duration_us=5),
-        1,
-        0,
-    )
-)
-# two dense bins in a row with a negative threshold: both add a -0.0 to
-# pixel 9, which bin 0 sets to -1.5 and bin 1's decay of 0 makes -0.0
-@example(
-    (
-        make_events([1, 6, 6, 6, 11, 11, 11], [9, 0, 1, 2, 0, 1, 2], [0] * 7, [1] * 7),
+        make_events([1, 6, 6, 6, 11, 11, 11], [9, 0, 1, 2, 0, 1, 2], [0] * 7, [-1] + [1] * 6),
         SensorGeometry(40, 1),
         SegmentConfig(15, 3),
-        adaptive_cfg(alpha_per_s=1e12, threshold=-1.5, normalizer=1, bin_duration_us=5),
+        adaptive_cfg(alpha_per_s=1e12, threshold=1.5, normalizer=1, bin_duration_us=5),
         1,
         0,
     )
 )
-# segment 1 saves pixels 2 and 3 at -0.0 and pixel 9 at -1.5; the resumed
-# run's sparse bin cancels on pixel 2 and skips pixel 3, and its decay of 0
-# makes pixel 9 -0.0
+# segment 1 saves pixels 2 and 3 at +0.0, from -0.0, and pixel 9 at -1.5;
+# the resumed run's sparse bin cancels on pixel 2 and skips pixel 3, and its
+# decay of 0 makes pixel 9 -0.0 until the segment's zero add
 @example(
     (
-        make_events([1, 1, 6, 11, 12], [2, 3, 9, 2, 2], [0] * 5, [1, 1, 1, 1, -1]),
+        make_events([1, 1, 6, 11, 12], [2, 3, 9, 2, 2], [0] * 5, [-1, -1, -1, 1, -1]),
         SensorGeometry(40, 1),
         SegmentConfig(10, 2),
-        adaptive_cfg(alpha_per_s=1e12, threshold=-1.5, normalizer=1, bin_duration_us=5),
+        adaptive_cfg(alpha_per_s=1e12, threshold=1.5, normalizer=1, bin_duration_us=5),
         2,
         1,
     )
@@ -500,21 +498,19 @@ def test_adaptive_matches_histogram_oracle(run):
 # a 1-event bin is dense on 2 pixels, where it adds to every pixel, and
 # sparse on 32, where it adds only to its own pixel (16 * 1 < 32)
 @pytest.mark.parametrize(
-    "threshold, width",
-    [(2.0, 2), (-2.0, 2), (2.0, 32), (-2.0, 32), (1.0, 2)],
-    ids=["2.0", "-2.0", "sparse-2.0", "sparse--2.0", "1.0"],
+    "threshold, width", [(2.0, 2), (2.0, 32), (1.0, 2)], ids=["2.0", "sparse-2.0", "1.0"]
 )
 def test_adaptive_signed_zero_matches_oracle(threshold, width):
     # bin 0 leaves pixel (0, 0) at -2; bin 1 has one event at pixel (1, 0)
     # and a decay of exactly 0, so pixel (0, 0) becomes -0.0, and the bin's
-    # zero add, 0.0 * threshold, makes it +0.0 only for a positive threshold
+    # zero add makes it +0.0
     geo, seg = SensorGeometry(width, 1), SegmentConfig(10, 2)
     cfg = adaptive_cfg(alpha_per_s=1e12, threshold=threshold, bin_duration_us=5)
-    events = make_events([1, 6], [0, 1], [0, 0], [-int(math.copysign(1, threshold)), 1])
+    events = make_events([1, 6], [0, 1], [0, 0], [-1, 1])
     ref_state, ref_frames = adaptive_oracle(events, geo, seg, cfg, 1)
     state, frames = run_sequence(events, geo, seg, cfg)
     assert state.frame[0, 0] == 0.0
-    assert np.signbit(state.frame[0, 0]) == (threshold < 0)
+    assert not np.signbit(state.frame[0, 0])
     assert state.frame.tobytes() == ref_state.frame.tobytes()
     assert frames[0].tobytes() == ref_frames[0].tobytes()
 

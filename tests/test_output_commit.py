@@ -65,6 +65,16 @@ def fail_on_second_segment(monkeypatch):
                       "--alpha", "0", *INTENSITY[2:]], None,
                      "segment 2: a frame value is beyond float32's range",
                      id="float32-at-segment-2"),
+        # the run makes out/new and out/new/previews, and stages segment 1's preview there
+        pytest.param(["intensity", "hot.txt", "--geometry", "8x8", "--threshold", "3e38",
+                      "--alpha", "0", "-o", "out/x.intf", "--pgm-dir", "out/new/previews"], None,
+                     "segment 2: a frame value is beyond float32's range",
+                     id="pgm-dir-made-by-the-run"),
+        pytest.param(["intensity", "hot.txt", "--geometry", "8x8", "--threshold", "3e38",
+                      "--alpha", "0", "-o", "out/x.intf", "--pgm-dir", "new/previews"],
+                     lambda mp: Path("new").mkdir(),
+                     "segment 2: a frame value is beyond float32's range",
+                     id="pgm-dir-in-an-empty-directory"),
         pytest.param(INTENSITY, fail_on_second_segment, "Unable to allocate 32.0 GiB",
                      id="memory-error-in-estimator"),
         pytest.param(INTENSITY, lambda mp: mp.setattr(
