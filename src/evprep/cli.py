@@ -105,12 +105,14 @@ def _flag_path(args, flag: str):
 
 def _clashing_output(args) -> str | None:
     """The usage error of an output that names a file the command reads, or
-    another of its outputs, or of a preview that would overwrite either;
-    ``--save-state`` may update ``--resume`` in place."""
+    another of its outputs, or of a preview that would overwrite either, or of
+    an empty path; ``--save-state`` may update ``--resume`` in place."""
     named = []
     for flag in args.reads + args.writes:
         path = _flag_path(args, flag)
-        if not path:
+        if path == "":
+            return f"{flag} is an empty path"
+        if path is None:
             continue
         for earlier, other in named if flag in args.writes else ():
             if (flag, earlier) != ("--save-state", "--resume") and _same_file(path, other):
@@ -161,7 +163,7 @@ def _add_pipeline_flags(p):
     p.add_argument("--normalizer", type=int, default=IntensityConfig.normalizer)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     from evprep.scenefile import load_scene
     from evprep.simulate import simulate_events
 
@@ -170,8 +172,7 @@ def cmd_simulate(args) -> int:
         noise = None
     events = simulate_events(scene, noise)
     write_evt1(_stage(args, args.output), events, scene.geometry)
-    print(f"wrote {events.shape[0]} events to {args.output}")
-    return EXIT_OK
+    return f"wrote {events.shape[0]} events to {args.output}"
 
 
 def _with_previews(args, stages):
@@ -183,7 +184,7 @@ def _with_previews(args, stages):
         yield frame
 
 
-def cmd_intensity(args) -> int:
+def cmd_intensity(args) -> str:
     if args.geometry:
         geometry = args.geometry
         events = read_text_events(args.input)
@@ -203,11 +204,10 @@ def cmd_intensity(args) -> int:
     count = write_intf(_stage(args, args.output), frames, geometry)
     if args.save_state:
         save_state(_stage(args, args.save_state), state)
-    print(f"wrote {count} frames to {args.output}")
-    return EXIT_OK
+    return f"wrote {count} frames to {args.output}"
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> str:
     import json
     from evprep.losses import trail_energy
     from evprep.scenefile import load_scene
@@ -223,8 +223,6 @@ def cmd_report(args) -> int:
     after_us = args.after_us if args.after_us is not None else scene.duration_us // 2
     region = trail_region(scene, after_us)
     energies = trail_energy(frames, region)
-    for i, e in enumerate(energies, start=1):
-        print(f"{i} {e:.9g}")
     if args.report:
         payload = {
             "trail_after_us": after_us,
@@ -232,10 +230,10 @@ def cmd_report(args) -> int:
             "energies": energies,
         }
         Path(_stage(args, args.report)).write_text(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return "\n".join(f"{i} {e:.9g}" for i, e in enumerate(energies, start=1))
 
 
-def cmd_pretrain_toy(args) -> int:
+def cmd_pretrain_toy(args) -> str:
     from evprep.masking import PatchGrid
     from evprep.scenefile import load_scene
     from evprep.simulate import simulate_events
@@ -276,8 +274,7 @@ def cmd_pretrain_toy(args) -> int:
             fh.write(f"{i} {loss:.9g}\n")
     if args.params:
         Path(_stage(args, args.params)).write_bytes(serialize_params(state))
-    print(f"trained {args.steps} steps: loss {curve[0]:.6g} -> {curve[-1]:.6g}")
-    return EXIT_OK
+    return f"trained {args.steps} steps: loss {curve[0]:.6g} -> {curve[-1]:.6g}"
 
 
 def build_parser() -> _Parser:
@@ -349,11 +346,13 @@ def main(argv=None) -> int:
     args.staged, args.made = [], []  # (temporary, final) pairs moved on success; dirs made
     try:
         _check_output_dirs(args)
-        code = args.func(args)
+        text = args.func(args)  # what the command prints, once every output is in place
         last = getattr(args, "output", None)
         for temp, path in sorted(args.staged, key=lambda pair: pair[1] == last):  # -o last
             os.replace(temp, path)
-        return code
+        if text:
+            print(text)
+        return EXIT_OK
     except (EvprepError, OSError, ValueError, MemoryError) as exc:
         print(f"evprep: error: {exc}", file=sys.stderr)
         return EXIT_DATA

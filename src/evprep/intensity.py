@@ -252,21 +252,25 @@ def iter_sequence(
     segment with a float32 snapshot of the frame. A ``resume`` state needs
     the run's config (a decay state only its alpha and threshold) and
     continues with the segment starting at its clock, which must be a
-    multiple of T, whichever T saved it: a split run is bit-identical to a
-    single combined run.
+    multiple of T, whichever T saved it, and in a decay state, if above 0,
+    after every pixel's last event, which would else be applied again: a
+    split run is bit-identical to a single combined run.
     """
+    adaptive = int_config.method is Method.ADAPTIVE_BATCH
     if resume is not None:
         if resume.geometry != geometry:
             raise GeometryError("resume state geometry mismatch")
         saved, run = resume.config, int_config
-        if run.method is Method.PER_EVENT_DECAY:  # the decay rule reads neither N nor T/B
+        if not adaptive:  # the decay rule reads neither N nor T/B
             run = replace(run, normalizer=saved.normalizer, bin_duration_us=saved.bin_duration_us)
         if saved != run:
             raise ValueError(f"resume state config mismatch: state {saved}, run {int_config}")
+        clock = resume.last_update_time_us
+        if not adaptive and clock > 0 and (resume.last_event_t_us == clock).any():
+            raise ValueError(f"resume state clock {clock}us is the time of a pixel's last event")
         state = resume
     else:
         state = IntensityState.initial(geometry, int_config)
-    adaptive = int_config.method is Method.ADAPTIVE_BATCH
     if adaptive and int_config.bin_duration_us != seg_config.bin_duration_us:
         raise ValueError("adaptive bin duration must equal the segment config's T/B")
     T = seg_config.segment_duration_us

@@ -11,7 +11,7 @@ from evprep import IntensityConfig, Method
 from evprep import cli
 from evprep import events as events_module
 from evprep.cli import build_parser, main
-from evprep.formats import read_evt1, read_intf, write_evt1
+from evprep.formats import read_evt1, read_intf, save_state, write_evt1
 from evprep.events import make_events
 from evprep import SensorGeometry
 
@@ -999,6 +999,25 @@ def test_resume_bad_state_exit_2(tmp_path, capsys, method, name, value):
     assert not out.exists()
 
 
+def test_resume_decay_state_at_its_last_event_exit_2(tmp_path, capsys):
+    """A state whose clock is the time of a pixel's last event, as
+    ``update_per_event`` leaves it, would apply the events at that time again."""
+    from evprep.intensity import IntensityState, update_per_event
+
+    geometry = SensorGeometry(4, 4)
+    events = make_events([10, 50_000, 60_000], [1, 1, 1], [1, 1, 1], [1, 1, 1])
+    write_evt1(tmp_path / "e.evt1", events, geometry)
+    state = IntensityState.initial(geometry, IntensityConfig(Method.PER_EVENT_DECAY))
+    update_per_event(state, events[:2])
+    save_state(tmp_path / "s.npz", state)
+    out = tmp_path / "o.intf"
+    assert main(["intensity", str(tmp_path / "e.evt1"), "-o", str(out), "--method", "decay",
+                 "--resume", str(tmp_path / "s.npz"), "--segments", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "evprep: error: resume state clock 50000us is the time of a pixel's last event\n")
+    assert not out.exists()
+
+
 def test_every_path_argument_is_checked_for_clashes():
     """Each argument that takes a path (a value with no type and no choices)
     is in its command's reads or writes, so an output cannot name it."""
@@ -1012,6 +1031,35 @@ def test_every_path_argument_is_checked_for_clashes():
             command.get_default("reads") + command.get_default("writes"))
     ]
     assert unchecked == []
+
+
+def path_arguments():
+    """Each command's path arguments, with one of them to leave empty."""
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [pytest.param(name, paths, flag, id=f"{name}-{flag.lstrip('-')}")
+            for name, command in commands.choices.items()
+            for paths in [command.get_default("reads") + command.get_default("writes")]
+            for flag in paths]
+
+
+# files of named_files a path argument reads; an output gets a new name
+READS = {"input": "d.evt1", "scene": "s.scene", "frames": "r.intf", "--resume": "st.npz"}
+
+
+@pytest.mark.parametrize("command, paths, flag", path_arguments())
+def test_empty_path_exit_1_before_work(named_files, capsys, command, paths, flag):
+    values = {path: "" if path == flag else READS.get(path, f"new-{path.lstrip('-')}")
+              for path in paths}
+    argv = [command, *(values[path] for path in paths if not path.startswith("-"))]
+    argv += [word for path in paths if path.startswith("-") for word in (path, values[path])]
+    before = {path.name: path.read_bytes() for path in named_files.iterdir()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"evprep: error: {flag} is an empty path\n")
+    assert {path.name: path.read_bytes() for path in named_files.iterdir()} == before
 
 
 def test_bench_is_gone(evt1, capsys):

@@ -46,6 +46,10 @@ def write_half(path, data, *_):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+def fail_to_move(src, dst):
+    raise OSError(errno.EIO, os.strerror(errno.EIO), dst)
+
+
 def fail_on_second_segment(monkeypatch):
     calls = []
 
@@ -90,6 +94,10 @@ def fail_on_second_segment(monkeypatch):
         pytest.param(["report", "r.intf", "s.scene", "--report", "out/r.json"],
                      lambda mp: mp.setattr(Path, "write_text", write_half),
                      "[Errno 28] No space left on device", id="report-write"),
+        # the one staged output, so its failed move leaves no other moved
+        pytest.param(["intensity", "d.evt1", "-o", "out/x.intf", "--segments", "2"],
+                     lambda mp: mp.setattr(os, "replace", fail_to_move),
+                     "[Errno 5] Input/output error: 'out/x.intf'", id="output-move"),
     ],
 )
 def test_failed_run_leaves_every_output_as_it_was(earlier_outputs, capsys, monkeypatch,
@@ -99,7 +107,7 @@ def test_failed_run_leaves_every_output_as_it_was(earlier_outputs, capsys, monke
     before = tree()
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"evprep: error: {message}\n"
+    assert capsys.readouterr() == ("", f"evprep: error: {message}\n")
     assert tree() == before
 
 
@@ -219,4 +227,47 @@ def test_checker_flags_unstaged_outputs():
         "cmd_a: save_state(path=args.save_state, state=state)",
         "cmd_a: Path(args.report).write_text(text)",
         "cmd_a: open(args.output, 'w')",
+    ]
+
+
+# --- a command returns what it prints, and main prints it once every output is in place ---
+
+
+def stdout_writes(module: ast.AST) -> list[str]:
+    """Calls of ``print``, and uses of ``sys.stdout``, in a ``cmd_*`` function,
+    in source order."""
+    found = []
+    for function in ast.walk(module):
+        if isinstance(function, ast.FunctionDef) and function.name.startswith("cmd_"):
+            nodes = [node for node in ast.walk(function)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "print"
+                     or isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__")
+                     and isinstance(node.value, ast.Name) and node.value.id == "sys"]
+            nodes.sort(key=lambda node: (node.lineno, node.col_offset))
+            found += [f"{function.name}: {ast.unparse(node)}" for node in nodes]
+    return found
+
+
+def test_no_command_writes_to_stdout():
+    source = ROOT / "src" / "evprep" / "cli.py"
+    assert stdout_writes(ast.parse(source.read_text(), str(source))) == []
+
+
+def test_checker_flags_stdout_writes():
+    source = (
+        "def cmd_a(args):\n"
+        "    print(f'wrote {count} frames')\n"
+        "    sys.stdout.write(text)\n"
+        "    fh.write(text)\n"
+        "    print(text, file=sys.__stdout__)\n"
+        "    return f'wrote {count} frames'\n"
+        "def main(argv):\n"
+        "    print(text)\n"
+    )
+    assert stdout_writes(ast.parse(source)) == [
+        "cmd_a: print(f'wrote {count} frames')",
+        "cmd_a: sys.stdout",
+        "cmd_a: print(text, file=sys.__stdout__)",
+        "cmd_a: sys.__stdout__",
     ]
