@@ -252,9 +252,9 @@ def iter_sequence(
     segment with a float32 snapshot of the frame. A ``resume`` state needs
     the run's config (a decay state only its alpha and threshold) and
     continues with the segment starting at its clock, which must be a
-    multiple of T, whichever T saved it, and in a decay state, if above 0,
-    after every pixel's last event, which would else be applied again: a
-    split run is bit-identical to a single combined run.
+    multiple of T, whichever T saved it, and in a decay state after every
+    pixel's last event (at 0, with an all-zero frame), which would else be
+    applied again: a split run is bit-identical to a single combined run.
     """
     adaptive = int_config.method is Method.ADAPTIVE_BATCH
     if resume is not None:
@@ -266,7 +266,9 @@ def iter_sequence(
         if saved != run:
             raise ValueError(f"resume state config mismatch: state {saved}, run {int_config}")
         clock = resume.last_update_time_us
-        if not adaptive and clock > 0 and (resume.last_event_t_us == clock).any():
+        # at clock 0 every last event time reads 0: only a non-zero frame shows events at 0
+        stale = resume.last_event_t_us == clock if clock else resume.frame
+        if not adaptive and stale.any():
             raise ValueError(f"resume state clock {clock}us is the time of a pixel's last event")
         state = resume
     else:

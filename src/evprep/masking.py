@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,12 @@ from evprep.formats import TUBE
 
 # variance floor of the MAE normalized-pixel target (He et al., arXiv 2111.06377)
 EPSILON = 1e-6
+
+
+def _blocks(tensor: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """A view of a (C, h*ph, w*pw) tensor as (h, w, C, ph, pw) blocks."""
+    C, H, W = tensor.shape
+    return tensor.reshape(C, H // ph, ph, W // pw, pw).transpose(1, 3, 0, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -48,8 +55,7 @@ class PatchGrid:
 
     def blocks(self, tensor: np.ndarray) -> np.ndarray:
         """A view of a (C, h*P, w*P) tensor of whole patches as (h, w, C, P, P) blocks."""
-        (C, H, W), P = tensor.shape, self.patch_size
-        return tensor.reshape(C, H // P, P, W // P, P).transpose(1, 3, 0, 2, 4)
+        return _blocks(tensor, self.patch_size, self.patch_size)
 
     def patches(self, tensor: np.ndarray) -> np.ndarray:
         """A new (K, C*P*P) matrix of a (C, H, W) tensor's patches, zero-padded."""
@@ -132,34 +138,28 @@ def apply_mask(tensor: np.ndarray, mask: TubeMask, grid: PatchGrid) -> np.ndarra
 def normalize_patches(target: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """Standardize each patch with its own mean and variance, plus ``EPSILON``.
 
-    Edge patches that extend past the frame use only their real pixels.
-    Full patches are standardized together as the rows of a contiguous
-    (rows, cols, P*P) copy, with the bytes each would get on its own:
-    numpy sums a strided P x P view of a row-major frame by copying it,
-    row by row, into one buffer and summing that pairwise, as it sums a
-    contiguous row. Patches larger than the buffer (``np.getbufsize()``
-    elements) and frames not stored row-major take a per-patch loop.
+    Edge patches that extend past the frame use only their real pixels. A
+    patch's statistics are taken over its pixels as one contiguous row-major
+    run, whatever the layout of ``target``: whole patches, the bottom and
+    right edges and the corner are each standardized as the rows of one copy.
     """
     if target.shape != (grid.height, grid.width):
         raise GeometryError(
             f"target shape {target.shape} does not match grid "
             f"{grid.height}x{grid.width}"
         )
-    P = grid.patch_size
-    vectorized = target.strides[0] >= target.strides[1] > 0 and P * P <= np.getbufsize()
-    rows, cols = (grid.height // P, grid.width // P) if vectorized else (0, 0)
+    P, target = grid.patch_size, np.ascontiguousarray(target)
     out = np.empty_like(target, dtype=np.float64)
-    full = grid.blocks(target[None, : rows * P, : cols * P]).reshape(rows, cols, P * P)
-    mean = full.mean(axis=-1, keepdims=True)
-    std = np.sqrt(full.var(axis=-1, keepdims=True) + EPSILON)
-    blocks = grid.blocks(out[None, : rows * P, : cols * P])
-    # not full -= mean: full is a view of target when W == P, and may hold integers
-    np.divide((full - mean).reshape(blocks.shape), std[..., None, None], out=blocks)
-    for row in range(grid.grid_h):
-        for col in range(cols if row < rows else 0, grid.grid_w):
-            sl = grid.patch_slices(row, col)
-            patch = target[sl]
-            out[sl] = (patch - patch.mean()) / np.sqrt(patch.var() + EPSILON)
+    cuts = [sorted({0, n - n % P, n}) for n in target.shape]  # whole patches, then the edge
+    for (top, bottom), (left, right) in itertools.product(*(zip(c, c[1:]) for c in cuts)):
+        ph, pw = min(P, bottom - top), min(P, right - left)
+        blocks = _blocks(target[None, top:bottom, left:right], ph, pw)
+        region = blocks.reshape(*blocks.shape[:2], ph * pw)
+        mean = region.mean(axis=-1, keepdims=True)
+        std = np.sqrt(region.var(axis=-1, keepdims=True) + EPSILON)
+        # not region -= mean: region may be a view of target, and may hold integers
+        out_blocks = _blocks(out[None, top:bottom, left:right], ph, pw)
+        np.divide((region - mean).reshape(blocks.shape), std[..., None, None], out=out_blocks)
     return out
 
 

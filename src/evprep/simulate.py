@@ -42,11 +42,11 @@ class MovingDisc:
             return knots[0][1], knots[0][2]
         if t_us >= knots[-1][0]:
             return knots[-1][1], knots[-1][2]
+        # the first knot at or after t_us ends its pair, whose start is before t_us
         for (t0, x0, y0), (t1, x1, y1) in zip(knots, knots[1:]):
-            if t0 <= t_us <= t1:
+            if t_us <= t1:
                 w = (t_us - t0) / (t1 - t0)
                 return x0 + w * (x1 - x0), y0 + w * (y1 - y0)
-        raise AssertionError("unreachable")
 
 
 @dataclass

@@ -44,7 +44,7 @@ def oracle_normalize_patches(target: np.ndarray, grid: PatchGrid) -> np.ndarray:
     for row in range(grid.grid_h):
         for col in range(grid.grid_w):
             sl = grid.patch_slices(row, col)
-            patch = target[sl]
+            patch = np.ascontiguousarray(target[sl])
             out[sl] = (patch - patch.mean()) / np.sqrt(patch.var() + 1e-6)
     return out
 

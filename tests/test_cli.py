@@ -1018,6 +1018,45 @@ def test_resume_decay_state_at_its_last_event_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_resume_decay_state_with_events_at_clock_0_exit_2(tmp_path, capsys):
+    """At clock 0 every pixel's last event time reads 0, so only the frame
+    shows that the events at 0 are in the state and would be applied again."""
+    from evprep.intensity import IntensityState, update_per_event
+
+    geometry = SensorGeometry(4, 4)
+    events = make_events([0, 60_000], [1, 1], [1, 1], [1, 1])
+    write_evt1(tmp_path / "e.evt1", events, geometry)
+    state = IntensityState.initial(geometry, IntensityConfig(Method.PER_EVENT_DECAY))
+    update_per_event(state, events[:1])
+    assert state.last_update_time_us == 0 and state.frame[1, 1] == 1.0
+    save_state(tmp_path / "s.npz", state)
+    out = tmp_path / "o.intf"
+    assert main(["intensity", str(tmp_path / "e.evt1"), "-o", str(out), "--method", "decay",
+                 "--resume", str(tmp_path / "s.npz"), "--segments", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "evprep: error: resume state clock 0us is the time of a pixel's last event\n")
+    assert not out.exists()
+
+
+def test_resume_initial_decay_state_equals_single(tmp_path):
+    """The untouched initial state, clock 0 and an all-zero frame, resumes
+    to the bytes of the run that starts without a state."""
+    from evprep.intensity import IntensityState
+
+    geometry = SensorGeometry(4, 4)
+    write_evt1(tmp_path / "e.evt1", make_events([0, 60_000], [1, 1], [1, 1], [1, 1]), geometry)
+    state = tmp_path / "s.npz"
+    save_state(state, IntensityState.initial(geometry, IntensityConfig(Method.PER_EVENT_DECAY)))
+
+    def run(name, *flags):
+        out = tmp_path / f"{name}.intf"
+        assert main(["intensity", str(tmp_path / "e.evt1"), "-o", str(out), "--method", "decay",
+                     "--segments", "2", *flags]) == 0
+        return out.read_bytes()
+
+    assert run("resumed", "--resume", str(state)) == run("single")
+
+
 def test_every_path_argument_is_checked_for_clashes():
     """Each argument that takes a path (a value with no type and no choices)
     is in its command's reads or writes, so an output cannot name it."""

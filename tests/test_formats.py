@@ -303,6 +303,17 @@ def test_intf_complete_empty_write_counts_zero(tmp_path):
     assert read_intf(path) == ([], GEO)
 
 
+def test_intf_refuses_a_pipe_before_writing():
+    """The header's count is set by seeking back, so a pipe is refused at once."""
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    frames = [np.zeros((GEO.height, GEO.width), np.float32)]
+    with os.fdopen(read_end, "rb", buffering=0) as reader, os.fdopen(write_end, "wb"):
+        with pytest.raises(OSError, match=f"/dev/fd/{write_end}: INTF output must be a seekable"):
+            write_intf(f"/dev/fd/{write_end}", frames, GEO)
+        assert reader.read() is None  # nothing to read: the pipe is empty
+
+
 def test_intf_payload_size_check(tmp_path, rng):
     path = tmp_path / "frames.intf"
     write_intf(path, [np.zeros((GEO.height, GEO.width), np.float32)], GEO)

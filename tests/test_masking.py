@@ -192,6 +192,17 @@ def test_normalize_leaves_its_input_alone(rng, dtype, P, H, W):
             np.testing.assert_allclose(out[top : top + P, left : left + P], expected, rtol=rtol)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("P, H, W", [(3, 10, 11), (8, 20, 13), (16, 32, 48), (91, 100, 95)])
+def test_normalize_bytes_do_not_depend_on_layout(rng, dtype, P, H, W):
+    """Row-major, column-major and reversed-row copies of one frame give the same bytes."""
+    frame = (rng.normal(size=(H, W)) * 1e3 + 1e4).astype(dtype)
+    grid = PatchGrid(P, H, W)
+    want = normalize_patches(frame, grid).tobytes()
+    for copy in (np.asfortranarray(frame), np.ascontiguousarray(frame[::-1])[::-1]):
+        assert normalize_patches(copy, grid).tobytes() == want
+
+
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 @example(2**32 - 1, 0.5)  # the largest seed the header's u32 holds
 @settings(max_examples=50, deadline=None)
